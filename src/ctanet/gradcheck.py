@@ -117,7 +117,7 @@ def op_checks(seed: int = 0):
     mhsa_net = model_init(mhsa_cfg, seed=T.fold_seed(seed, 71), dtype="f64")
 
     tok = _rand([2, micro.tokens, 8], s(72))
-    fmap = _rand([1, 8, 2, 2], s(73))
+    fmap = _rand([1, 2, 2, 8], s(73))    # channels-last [B, H, W, C]
 
     checks += [
         ("multi_scale_fuse", LAYER_TOL,

@@ -6,6 +6,9 @@ multi-head self-attention for the lightweight multi-scale variant
 inside), and (b) route the MLP branch through a token->feature-map->token
 convolutional detour (the reverse-reconstruction stage). Both swaps are
 pure configuration changes, which is what the ablation harness relies on.
+
+Feature maps in the fusion stage and the detour are channels-last
+[B, H, W, C], so 1x1 convolutions are linears over the last axis.
 """
 
 from __future__ import annotations
@@ -243,13 +246,13 @@ class CtaNet:
 # --------------------------------------------------------------------------
 
 def extract_patches(img: Tensor, patch: int) -> Tensor:
-    """[B, C, H, W] -> [B, N, C*patch^2], row-major grid, channel-major patches."""
-    B, C, H, W = img.shape
+    """[B, H, W, C] -> [B, N, C*patch^2], row-major grid, channel-major patches."""
+    B, H, W, C = img.shape
     if H % patch or W % patch:
         raise ShapeError(f"image {H}x{W} not divisible by patch {patch}")
     gh, gw = H // patch, W // patch
-    x = T.reshape(img, [B, C, gh, patch, gw, patch])
-    x = T.permute(x, (0, 2, 4, 1, 3, 5))
+    x = T.reshape(img, [B, gh, patch, gw, patch, C])
+    x = T.permute(x, (0, 1, 3, 5, 2, 4))
     return T.reshape(x, [B, gh * gw, C * patch * patch])
 
 
@@ -283,7 +286,7 @@ def patch_embed(img: Tensor, proj: LinearParams, pos: Optional[Tensor],
     B, C, H, W = img.shape
     if H != W:
         raise ShapeError(f"expected a square image, got {H}x{W}")
-    tokens = nn.linear(extract_patches(img, patch), proj)
+    tokens = nn.linear(extract_patches(T.permute(img, (0, 2, 3, 1)), patch), proj)
     if cls_token is not None:
         D = tokens.shape[-1]
         cls = T.expand(T.reshape(cls_token, [1, 1, D]), [B, 1, D])
@@ -302,19 +305,22 @@ def _split_cls(x: Tensor, has_cls: bool):
     return cls, rest
 
 
-def reverse_embed(x: Tensor, re: LinearParams, cfg: ModelConfig) -> Tensor:
-    """Tokens back to a feature map: drop cls, per-token linear, tile the grid."""
-    _, pt = _split_cls(x, cfg.use_class_token)
-    B, N, _ = pt.shape
+def _grid_side(N: int) -> int:
     g = int(round(math.sqrt(N)))
     if g * g != N:
         raise ShapeError(f"patch-token count {N} is not a perfect square")
-    p = cfg.patch_size
-    C = cfg.rrcv_width
-    y = nn.linear(pt, re)                       # [B, N, C*p*p]
-    y = T.reshape(y, [B, N, C, p, p])
-    y = T.permute(y, (0, 2, 1, 3, 4))           # [B, C, N, p, p]
-    return reconstruct(y, g * p, g * p)
+    return g
+
+
+def reverse_embed(x: Tensor, re: LinearParams, cfg: ModelConfig) -> Tensor:
+    """Tokens back to a channels-last map [B, H, W, C]: drop cls, per-token
+    linear to a channel-major C*p*p patch, tile the row-major grid."""
+    _, pt = _split_cls(x, cfg.use_class_token)
+    B, N, _ = pt.shape
+    g, p, C = _grid_side(N), cfg.patch_size, cfg.rrcv_width
+    y = T.reshape(nn.linear(pt, re), [B, g, g, C, p, p])
+    y = T.permute(y, (0, 1, 4, 2, 5, 3))        # [B, g, p, g, p, C]
+    return T.reshape(y, [B, g * p, g * p, C])
 
 
 # --------------------------------------------------------------------------
@@ -322,12 +328,12 @@ def reverse_embed(x: Tensor, re: LinearParams, cfg: ModelConfig) -> Tensor:
 # --------------------------------------------------------------------------
 
 def multi_scale_fuse(x: Tensor, fp: FusionParams) -> Tensor:
-    """Depthwise conv per scale, channel concat, 1x1 reduction back to C."""
+    """Depthwise conv per scale on a channels-last map [B, H, W, C], then the
+    1x1 reduction of the branches' channel concatenation back to C (computed
+    as a sum over the branches, without the concatenation)."""
     if not fp.scales:
         raise ConfigError("multi_scale_fuse needs at least one scale")
-    branches = [nn.depthwise_conv2d(x, bp) for bp in fp.branches]
-    cat = T.concat(branches, axis=1)
-    return nn.pointwise_conv2d(cat, fp.reduce)
+    return nn.pointwise_nhwc([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
 
 
 def _attention_core(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool):
@@ -371,12 +377,8 @@ def fuse_tokens(x: Tensor, fusion: FusionParams, cfg: ModelConfig) -> Tensor:
     B, _, D = x.shape
     cls, pt = _split_cls(x, cfg.use_class_token)
     N = pt.shape[1]
-    g = int(round(math.sqrt(N)))
-    if g * g != N:
-        raise ShapeError(f"patch-token count {N} is not a perfect square")
-    fmap = T.permute(T.reshape(pt, [B, g, g, D]), (0, 3, 1, 2))
-    fused = multi_scale_fuse(fmap, fusion)
-    pt = T.reshape(T.permute(fused, (0, 2, 3, 1)), [B, N, D])
+    g = _grid_side(N)
+    pt = T.reshape(multi_scale_fuse(T.reshape(pt, [B, g, g, D]), fusion), [B, N, D])
     return pt if cls is None else T.concat([cls, pt], axis=1)
 
 
@@ -415,20 +417,20 @@ def rrcv_forward(x: Tensor, rp: RrcvParams, cfg: ModelConfig) -> Tensor:
     f = reverse_embed(x, rp.re, cfg)
 
     if rp.variant == "cnn":
-        h = nn.conv2d(f, rp.body[0])
+        h = nn.conv2d_nhwc(f, rp.body[0])
         h = nn.gelu(h)
-        h = nn.conv2d(h, rp.body[1])
+        h = nn.conv2d_nhwc(h, rp.body[1])
     elif rp.variant == "dwconv":
-        h = nn.pointwise_conv2d(nn.depthwise_conv2d(f, rp.body[0]), rp.body[1])
+        h = nn.pointwise_nhwc([nn.conv2d_nhwc(f, rp.body[0])], rp.body[1])
         h = nn.gelu(h)
-        h = nn.pointwise_conv2d(nn.depthwise_conv2d(h, rp.body[2]), rp.body[3])
+        h = nn.pointwise_nhwc([nn.conv2d_nhwc(h, rp.body[2])], rp.body[3])
     else:  # resnet: conv-act-conv plus the identity skip, no activation after the sum
-        h = nn.conv2d(f, rp.body[0])
+        h = nn.conv2d_nhwc(f, rp.body[0])
         h = nn.gelu(h)
-        h = nn.conv2d(h, rp.body[1])
+        h = nn.conv2d_nhwc(h, rp.body[1])
         h = T.add(h, f)
 
-    h = nn.pointwise_conv2d(h, rp.pconv)
+    h = nn.pointwise_nhwc([h], rp.pconv)
     tokens = nn.linear(extract_patches(h, cfg.patch_size), rp.embed)
     return tokens if cls is None else T.concat([cls, tokens], axis=1)
 

@@ -1,7 +1,8 @@
 """Neural layers: convolutions, linear, layer norm, GELU, cross-entropy.
 
-Convolutions run as im2col-style window extraction plus a contraction;
-the naive nested-loop form lives in the test suite as the oracle.
+Convolutions run channels-last as a sum over the kernel taps of shifted
+input slices times per-tap weights; the naive nested-loop form lives in
+the test suite as the oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
@@ -83,16 +83,20 @@ def layer_norm_init(dim: int, *, dtype: str = "f32", eps: float = 1e-5) -> Layer
 # --------------------------------------------------------------------------
 # convolution
 # --------------------------------------------------------------------------
+# Channels-last [B, H, W, C]: each tap adds the product of one shifted slice
+# of the padded input with its weights; no im2col buffer is built or kept.
+# Weights stay stored as [out_ch, in_ch/groups, k, k].
 
 def _conv_checks(x: Tensor, p: Conv2dParams):
+    """Shape contract of a channels-last convolution; returns the extents."""
     if x.ndim != 4:
-        raise ShapeError(f"conv2d expects [B, C, H, W], got {list(x.shape)}")
+        raise ShapeError(f"conv2d expects a rank-4 map, got {list(x.shape)}")
     oc, cg, k, k2 = p.weight.shape
     if k != k2:
         raise ShapeError("non-square conv kernels are not supported")
     if k % 2 == 0:
         raise ShapeError(f"only odd kernel sizes are supported, got {k}")
-    B, C, H, W = x.shape
+    B, H, W, C = x.shape
     if C != cg * p.groups:
         raise ShapeError(f"conv2d channel mismatch: input has {C}, weight expects {cg * p.groups}")
     if oc % p.groups:
@@ -101,151 +105,141 @@ def _conv_checks(x: Tensor, p: Conv2dParams):
         raise ShapeError(f"kernel {k} larger than padded input {H + 2 * p.padding}x{W + 2 * p.padding}")
     oh = (H + 2 * p.padding - k) // p.stride + 1
     ow = (W + 2 * p.padding - k) // p.stride + 1
-    return B, C, H, W, oc, k, oh, ow
+    return B, H, W, C, oc, k, oh, ow
 
 
-def _col2im(dcols6: np.ndarray, xp_shape, k: int, stride: int, OH: int, OW: int) -> np.ndarray:
-    """Scatter-add [B, C, OH, OW, k, k] window grads back onto the padded input."""
-    dxp = np.zeros(xp_shape, dtype=dcols6.dtype)
-    for i in range(k):
-        for j in range(k):
-            dxp[:, :, i:i + stride * OH:stride, j:j + stride * OW:stride] += dcols6[:, :, :, :, i, j]
-    return dxp
+def _pad_hw(a: np.ndarray, n: int) -> np.ndarray:
+    return np.pad(a, [(0, 0), (n, n), (n, n), (0, 0)]) if n else a
 
 
-def _dx_dense_stride1(g: np.ndarray, w: np.ndarray, pad: int, H: int, W: int) -> np.ndarray:
-    """Input gradient of a stride-1 conv: correlate g with the flipped kernel.
+def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
+    """Grouped 2-d cross-correlation of a channels-last map [B, H, W, C].
 
-    dx[b,c,y,x] = sum_{o,i,j} g[b,o,y+pad-i,x+pad-j] w[o,c,i,j]
+    Output [B, OH, OW, out_ch], OH = floor((H + 2*pad - k)/stride) + 1. A
+    tap multiplies its [.., C] slice by a block-diagonal [C, out_ch] matrix;
+    when groups == C == out_ch (depthwise) it is a per-channel multiply.
     """
-    OC, C, k, _ = w.shape
-    B = g.shape[0]
-    gp = np.pad(g, [(0, 0), (0, 0), (k - 1 - pad, k - 1 - pad), (k - 1 - pad, k - 1 - pad)])
-    win = sliding_window_view(gp, (k, k), axis=(2, 3))          # [B, OC, H, W, k, k]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B, H * W, OC * k * k)
-    wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, OC * k * k)
-    return (cols @ wf.T).transpose(0, 2, 1).reshape(B, C, H, W)
-
-
-def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Grouped 2-d cross-correlation. out = floor((H + 2*pad - k)/stride) + 1.
-
-    Runs as window extraction plus one matmul per group.
-    """
-    B, C, H, W, OC, k, OH, OW = _conv_checks(x, p)
-    if k == 1 and p.groups == 1 and p.stride == 1 and p.padding == 0:
-        return pointwise_conv2d(x, p)
-    if p.groups == C == OC:
-        return depthwise_conv2d(x, p)
-
-    G = p.groups
-    Cg, Og = C // G, OC // G
-    stride, pad = p.stride, p.padding
+    B, H, W, C, OC, k, OH, OW = _conv_checks(x, p)
+    s, pad, G = p.stride, p.padding, p.groups
     w, b = p.weight, p.bias
-    P = OH * OW
+    depthwise = G == C == OC
+    taps = [(i, j) for i in range(k) for j in range(k)]
+    if depthwise:                       # [k, k, C]; the flipped taps feed dx
+        wt = np.ascontiguousarray(w.data[:, 0].transpose(1, 2, 0))
+        wflip = np.ascontiguousarray(wt[::-1, ::-1])
+        prod = np.multiply
+    else:                               # block-diagonal [k, k, C, OC]
+        Cg, Og = C // G, OC // G
+        wt = np.zeros((k, k, C, OC), dtype=w.data.dtype)
+        for gi in range(G):
+            wt[:, :, gi * Cg:(gi + 1) * Cg, gi * Og:(gi + 1) * Og] = \
+                w.data[gi * Og:(gi + 1) * Og].transpose(2, 3, 1, 0)
+        wflip = np.ascontiguousarray(wt[::-1, ::-1].swapaxes(2, 3))
+        prod = np.matmul
 
-    xp = np.pad(x.data, [(0, 0), (0, 0), (pad, pad), (pad, pad)]) if pad else x.data
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]  # [B,C,OH,OW,k,k]
-    # one im2col buffer per group: [B, P, Cg*k*k]
-    cols = [np.ascontiguousarray(win[:, gi * Cg:(gi + 1) * Cg].transpose(0, 2, 3, 1, 4, 5)
-                                 ).reshape(B, P, Cg * k * k)
-            for gi in range(G)]
-    w2 = w.data.reshape(G, Og, Cg * k * k)
-    out = np.empty((B, OC, OH, OW), dtype=x.data.dtype)
-    for gi in range(G):
-        y = cols[gi] @ w2[gi].T                                   # [B, P, Og]
-        out[:, gi * Og:(gi + 1) * Og] = y.transpose(0, 2, 1).reshape(B, Og, OH, OW)
+    def window(a, i, j, step, oh, ow):
+        return a[:, i:i + step * oh:step, j:j + step * ow:step]
+
+    def tap_sum(a, wk, step, oh, ow):
+        out = prod(window(a, 0, 0, step, oh, ow), wk[0, 0])
+        for i, j in taps[1:]:
+            out += prod(window(a, i, j, step, oh, ow), wk[i, j])
+        return out
+
+    xp = _pad_hw(x.data, pad)
+    out = tap_sum(xp, wt, s, OH, OW)
     if b is not None:
-        out += b.data[None, :, None, None]
+        out += b.data
 
     def backward(g):
         if b is not None and b.requires_grad:
-            T._accumulate(b, g.sum(axis=(0, 2, 3)))
-        need_dx = x.requires_grad
-        dx_by_gather = stride == 1 and pad < k and G == 1
-        dcols6 = np.empty((B, C, OH, OW, k, k), dtype=g.dtype) if (need_dx and not dx_by_gather) else None
-        dw = np.empty_like(w.data) if w.requires_grad else None
-        for gi in range(G):
-            gp = g[:, gi * Og:(gi + 1) * Og].reshape(B, Og, P).transpose(0, 2, 1)  # [B,P,Og]
-            if dw is not None:
-                dwg = np.tensordot(gp, cols[gi], axes=([0, 1], [0, 1]))            # [Og, Cg*k*k]
-                dw[gi * Og:(gi + 1) * Og] = dwg.reshape(Og, Cg, k, k)
-            if need_dx and not dx_by_gather:
-                dc = (gp @ w2[gi]).reshape(B, OH, OW, Cg, k, k)
-                dcols6[:, gi * Cg:(gi + 1) * Cg] = dc.transpose(0, 3, 1, 2, 4, 5)
-        if dw is not None:
-            T._accumulate(w, dw)
-        if need_dx:
-            if dx_by_gather:
-                T._accumulate(x, _dx_dense_stride1(g, w.data, pad, H, W))
+            T._accumulate(b, g.reshape(-1, OC).sum(axis=0))
+        if w.requires_grad:
+            if depthwise:
+                dwt = np.stack([np.einsum("bhwc,bhwc->c", window(xp, i, j, s, OH, OW), g)
+                                for i, j in taps])
+                dw = dwt.T.reshape(C, 1, k, k)
             else:
-                dxp = _col2im(dcols6, xp.shape, k, stride, OH, OW)
-                T._accumulate(x, dxp[:, :, pad:pad + H, pad:pad + W] if pad else dxp)
+                g2 = g.reshape(-1, OC)
+                dwt = np.stack([window(xp, i, j, s, OH, OW).reshape(-1, C).T @ g2
+                                for i, j in taps]).reshape(k, k, C, OC)
+                dw = np.concatenate([dwt[:, :, gi * Cg:(gi + 1) * Cg, gi * Og:(gi + 1) * Og]
+                                     for gi in range(G)], axis=3).transpose(3, 2, 0, 1)
+            T._accumulate(w, dw)
+        if x.requires_grad:
+            # dx is the stride-1 correlation of the (dilated, zero-padded)
+            # output gradient with the flipped kernel.
+            if s > 1:
+                g1 = np.zeros((B, H + 2 * pad - k + 1, W + 2 * pad - k + 1, OC), dtype=g.dtype)
+                g1[:, ::s, ::s] = g
+                g = g1
+            gp = _pad_hw(g, k - 1)[:, pad:pad + H + k - 1, pad:pad + W + k - 1]
+            T._accumulate(x, tap_sum(gp, wflip, 1, H, W))
 
     parents = (x, w) if b is None else (x, w, b)
     return T._make(out, parents, backward, "conv2d")
 
 
-def depthwise_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Per-channel convolution (groups == in_ch == out_ch).
+def pointwise_nhwc(xs, p: Conv2dParams) -> Tensor:
+    """1x1 convolution over the last axis: sum_s xs[s] @ W[:, c_s]^T + b.
 
-    Shift-and-add over the k^2 taps; the contraction per output element is
-    tiny, so window extraction would only inflate memory traffic.
+    ``xs`` are consecutive channel blocks of the input, read in place of
+    their concatenation; W is the stored [out_ch, in_ch, 1, 1] weight.
     """
-    B, C, H, W, OC, k, OH, OW = _conv_checks(x, p)
-    if not (p.groups == C == OC):
-        raise ShapeError(f"depthwise requires groups == in_ch == out_ch, got groups={p.groups}, {C}->{OC}")
-    stride, pad = p.stride, p.padding
+    OC, C, kh, kw = p.weight.shape
+    if kh != 1 or kw != 1:
+        raise ShapeError(f"pointwise conv needs a 1x1 kernel, got {list(p.weight.shape)}")
+    if p.groups != 1 or p.stride != 1 or p.padding != 0:
+        raise ShapeError("pointwise conv uses groups == stride == 1 and no padding")
+    bounds = np.cumsum([0] + [x.shape[-1] for x in xs])
+    if bounds[-1] != C or any(x.shape[:-1] != xs[0].shape[:-1] for x in xs):
+        raise ShapeError(f"pointwise inputs {[list(x.shape) for x in xs]} do not match weight in_ch {C}")
     w, b = p.weight, p.bias
-    wk = w.data.reshape(C, k, k)
-
-    xp = np.pad(x.data, [(0, 0), (0, 0), (pad, pad), (pad, pad)]) if pad else x.data
-    out = np.zeros((B, C, OH, OW), dtype=x.data.dtype)
-    for i in range(k):
-        for j in range(k):
-            out += wk[:, i, j][None, :, None, None] * \
-                xp[:, :, i:i + stride * OH:stride, j:j + stride * OW:stride]
-    if b is not None:
-        out += b.data[None, :, None, None]
+    w2 = w.data.reshape(OC, C)
+    parts = list(zip(xs, bounds[:-1], bounds[1:]))
+    out = 0.0 if b is None else b.data
+    for x, lo, hi in parts:
+        out = out + x.data.reshape(-1, hi - lo) @ w2[:, lo:hi].T
+    out = out.reshape(xs[0].shape[:-1] + (OC,))
 
     def backward(g):
-        if w.requires_grad:
-            dw = np.empty((C, k, k), dtype=g.dtype)
-            for i in range(k):
-                for j in range(k):
-                    sl = xp[:, :, i:i + stride * OH:stride, j:j + stride * OW:stride]
-                    dw[:, i, j] = (g * sl).sum(axis=(0, 2, 3))
-            T._accumulate(w, dw.reshape(C, 1, k, k))
+        g2 = g.reshape(-1, OC)
         if b is not None and b.requires_grad:
-            T._accumulate(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, :, i:i + stride * OH:stride, j:j + stride * OW:stride] += \
-                        wk[:, i, j][None, :, None, None] * g
-            T._accumulate(x, dxp[:, :, pad:pad + H, pad:pad + W] if pad else dxp)
+            T._accumulate(b, g2.sum(axis=0))
+        if w.requires_grad:
+            dw = np.concatenate([g2.T @ x.data.reshape(-1, hi - lo) for x, lo, hi in parts], axis=1)
+            T._accumulate(w, dw.reshape(OC, C, 1, 1))
+        for x, lo, hi in parts:
+            if x.requires_grad:
+                T._accumulate(x, (g2 @ w2[:, lo:hi]).reshape(x.shape))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return T._make(out, parents, backward, "depthwise_conv2d")
+    return T._make(out, tuple(xs) + ((w,) if b is None else (w, b)), backward, "pointwise_conv2d")
+
+
+# NCHW adapters: the layout of the naive oracle and the gradient registry.
+
+def _nchw(x: Tensor, conv) -> Tensor:
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d expects [B, C, H, W], got {list(x.shape)}")
+    return T.permute(conv(T.permute(x, (0, 2, 3, 1))), (0, 3, 1, 2))
+
+
+def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
+    """Grouped 2-d cross-correlation of [B, C, H, W]; see conv2d_nhwc."""
+    return _nchw(x, lambda t: conv2d_nhwc(t, p))
+
+
+def depthwise_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
+    """Per-channel convolution (groups == in_ch == out_ch) of [B, C, H, W]."""
+    if x.ndim == 4 and not p.groups == x.shape[1] == p.weight.shape[0]:
+        raise ShapeError(f"depthwise requires groups == in_ch == out_ch, got groups={p.groups}, "
+                         f"{x.shape[1]}->{p.weight.shape[0]}")
+    return _nchw(x, lambda t: conv2d_nhwc(t, p))
 
 
 def pointwise_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """1x1 channel mixer: a per-pixel linear map, composed from matmul."""
-    if p.weight.shape[2] != 1 or p.weight.shape[3] != 1:
-        raise ShapeError(f"pointwise conv needs a 1x1 kernel, got {list(p.weight.shape)}")
-    if p.groups != 1:
-        raise ShapeError("pointwise conv uses groups == 1")
-    B, C, H, W = x.shape
-    OC = p.weight.shape[0]
-    if p.weight.shape[1] != C:
-        raise ShapeError(f"pointwise channel mismatch: input {C}, weight {p.weight.shape[1]}")
-    tokens = T.permute(T.reshape(x, [B, C, H * W]), (0, 2, 1))          # [B, HW, C]
-    w2 = T.reshape(p.weight, [OC, C])
-    y = T.matmul(tokens, T.permute(w2, (1, 0)))                          # [B, HW, OC]
-    if p.bias is not None:
-        y = T.add(y, p.bias)
-    return T.reshape(T.permute(y, (0, 2, 1)), [B, OC, H, W])
+    """1x1 channel mixer of [B, C, H, W]: a per-pixel linear map."""
+    return _nchw(x, lambda t: pointwise_nhwc([t], p))
 
 
 # --------------------------------------------------------------------------

@@ -161,6 +161,8 @@ def train_epoch(net: CtaNet, ds: D.Dataset, state: OptimizerState, cfg: TrainCon
 def evaluate(net: CtaNet, ds: D.Dataset, batch_size: int = 64,
              target_size: Optional[int] = None, dtype: str = "f32"):
     """(mean loss, top1) without touching model state."""
+    if len(ds) == 0:
+        raise DataError("cannot evaluate on an empty split")
     target = target_size or net.config.image_size
     loss_sum, hit_sum, seen = 0.0, 0.0, 0
     with T.no_grad():
@@ -230,9 +232,24 @@ class _Reader:
         (n,) = struct.unpack("<I", self.take(4))
         return self.take(n)
 
+    def text(self) -> str:
+        try:
+            return self.blob().decode()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: text before byte {self.off} is not UTF-8: {exc}") from None
+
+    def tensor(self) -> Tensor:
+        try:
+            return T.tensor_from_bytes(self.blob())[0]
+        except ContractError as exc:
+            raise DataError(f"{self.path}: malformed tensor before byte {self.off}: {exc}") from None
+
 
 def load_checkpoint(path: str):
-    """Returns (net, optimizer state or None, epochs_done, seed)."""
+    """Returns (net, optimizer state or None, epochs_done, seed).
+
+    A file that does not decode raises DataError.
+    """
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
@@ -242,17 +259,20 @@ def load_checkpoint(path: str):
     (version,) = struct.unpack("<I", rd.take(4))
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    cfg_d = json.loads(rd.blob().decode())
-    cfg_d["kernel_scales"] = tuple(cfg_d["kernel_scales"])
-    cfg = ModelConfig(**cfg_d)
+    text = rd.text()
+    try:
+        cfg_d = json.loads(text)
+        cfg_d["kernel_scales"] = tuple(cfg_d["kernel_scales"])
+        cfg = ModelConfig(**cfg_d).validate()
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"{path}: malformed model config ({type(exc).__name__}: {exc})") from None
     (has_opt,) = struct.unpack("<B", rd.take(1))
     (count,) = struct.unpack("<I", rd.take(4))
     tensors = {}
     order = []
     for _ in range(count):
-        name = rd.blob().decode()
-        t, _ = T.tensor_from_bytes(rd.blob())
-        tensors[name] = t
+        name = rd.text()
+        tensors[name] = rd.tensor()
         order.append(name)
     dtype = tensors[order[0]].dtype if order else "f32"
     net = model_init(cfg, seed=0, dtype=dtype)
@@ -269,8 +289,8 @@ def load_checkpoint(path: str):
         (step,) = struct.unpack("<Q", rd.take(8))
         m, v = {}, {}
         for name, _ in named:
-            m[name], _ = T.tensor_from_bytes(rd.blob())
-            v[name], _ = T.tensor_from_bytes(rd.blob())
+            m[name] = rd.tensor()
+            v[name] = rd.tensor()
         state = OptimizerState(
             m={k: t.data.copy() for k, t in m.items()},
             v={k: t.data.copy() for k, t in v.items()},

@@ -1,6 +1,8 @@
 """CLI contract: config handling, subcommands, exit codes, artifacts."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from ctanet import config as C
 from ctanet import nn
 from ctanet import tensor as T
 from ctanet.errors import ConfigError
+from ctanet.model import model_init, tiny_config
+from ctanet.train import save_checkpoint
 
 
 def run_cli(args):
@@ -154,6 +158,34 @@ class TestTrainEval:
                         "--set", f"data.root={tmp_path}/nowhere",
                         "--out-dir", str(tmp_path / "runs")])
         assert code == 3
+
+    @pytest.mark.parametrize("corrupt", ["non_utf8_config", "malformed_json", "unknown_key",
+                                         "missing_key", "bad_dtype_tag", "bad_rank"])
+    def test_malformed_checkpoint_exits_3(self, tmp_path, capsys, corrupt):
+        path = str(tmp_path / "net.ckpt")
+        save_checkpoint(path, model_init(tiny_config(depth=1), seed=0))
+        blob = open(path, "rb").read()
+        (n,) = struct.unpack_from("<I", blob, 8)
+        head, cfg, rest = blob[:8], blob[12:12 + n], bytearray(blob[12 + n:])
+        cfg_d = json.loads(cfg)
+        if corrupt == "non_utf8_config":
+            cfg = cfg.replace(b"lmf_mhsa", b"lmf_mhs\xff")
+        elif corrupt == "malformed_json":
+            cfg = cfg[:-1]
+        elif corrupt == "unknown_key":
+            cfg = json.dumps(dict(cfg_d, bogus=1)).encode()
+        elif corrupt == "missing_key":
+            cfg = json.dumps({k: v for k, v in cfg_d.items() if k != "kernel_scales"}).encode()
+        else:  # header of the first tensor: after has_opt, count, name blob, blob length
+            (name_len,) = struct.unpack_from("<I", rest, 5)
+            tag = 5 + 4 + name_len + 4
+            if corrupt == "bad_dtype_tag":
+                rest[tag] = 7
+            else:
+                rest[tag + 1:tag + 5] = struct.pack("<I", 2 ** 31)
+        open(path, "wb").write(head + struct.pack("<I", len(cfg)) + cfg + bytes(rest))
+        assert run_cli(["eval", "--preset", "tiny", *MICRO, "--checkpoint", path]) == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_subset_flag(self, tmp_path, capsys):
         code = run_cli(["train", "--preset", "tiny", *MICRO, "--subset", "24",

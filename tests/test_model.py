@@ -108,16 +108,29 @@ class TestReverseEmbed:
                           kv_reduction=1, use_class_token=False, rrcv_channels=4)
         x = T.uniform([2, 9, 4], seed=7, dtype="f64")
         fmap = reverse_embed(x, identity_linear(4), cfg)
-        assert fmap.shape == (2, 4, 3, 3)
+        assert fmap.shape == (2, 3, 3, 4)          # channels-last
         for t in range(9):
             i, j = divmod(t, 3)
-            assert np.array_equal(fmap.data[:, :, i, j], x.data[:, t, :])
+            assert np.array_equal(fmap.data[:, i, j, :], x.data[:, t, :])
+
+    def test_channel_major_patch_layout(self):
+        # token n of a 2x2 grid holds its patch as [C, p, p], flattened
+        cfg = ModelConfig(image_size=4, patch_size=2, embed_dim=8, heads=1,
+                          kv_reduction=1, use_class_token=False, rrcv_channels=2)
+        x = T.uniform([1, 4, 8], seed=17, dtype="f64")
+        fmap = reverse_embed(x, identity_linear(8), cfg).data
+        for n in range(4):
+            gy, gx = divmod(n, 2)
+            for c in range(2):
+                for i in range(2):
+                    for j in range(2):
+                        assert fmap[0, 2 * gy + i, 2 * gx + j, c] == x.data[0, n, 4 * c + 2 * i + j]
 
     def test_shape_contract(self):
         cfg = tiny_config()
         net = model_init(cfg, seed=1, dtype="f64")
         x = T.uniform([2, 65, 64], seed=8, dtype="f64")
-        assert reverse_embed(x, net.blocks[0].rrcv.re, cfg).shape == (2, 4, 32, 32)
+        assert reverse_embed(x, net.blocks[0].rrcv.re, cfg).shape == (2, 32, 32, 4)
 
 
 class TestRrcv:
@@ -190,7 +203,7 @@ class TestMultiScaleFuse:
         branch = nn.Conv2dParams(Tensor(np.ones((C, 1, 1, 1))), Tensor(np.zeros(C)), groups=C)
         reduce = nn.Conv2dParams(Tensor(np.eye(C).reshape(C, C, 1, 1)), Tensor(np.zeros(C)))
         from ctanet.model import FusionParams
-        x = T.uniform([2, C, 5, 5], seed=13, dtype="f64")
+        x = T.uniform([2, 5, 5, C], seed=13, dtype="f64")
         out = multi_scale_fuse(x, FusionParams((1,), [branch], reduce))
         assert np.abs(out.data - x.data).max() <= 1e-12
 
@@ -208,7 +221,7 @@ class TestMultiScaleFuse:
             for c in range(C):
                 rw[c, rep * C + c, 0, 0] = 1.0 / 3.0
         reduce = nn.Conv2dParams(Tensor(rw), Tensor(np.zeros(C)))
-        x = T.uniform([1, C, 4, 4], seed=14, dtype="f64")
+        x = T.uniform([1, 4, 4, C], seed=14, dtype="f64")
         out = multi_scale_fuse(x, FusionParams(scales, branches, reduce))
         assert np.abs(out.data - x.data).max() <= 1e-12
 
@@ -216,12 +229,13 @@ class TestMultiScaleFuse:
         cfg = tiny_config(depth=1)
         net = model_init(cfg, seed=6, dtype="f64")
         fp = net.blocks[0].attn.fusion
-        x = T.uniform([2, 64, 8, 8], seed=15, dtype="f64")
+        x = T.uniform([2, 8, 8, 64], seed=15, dtype="f64")
         got = multi_scale_fuse(x, fp).data
-        parts = [naive_conv2d(x.data, bp.weight.data, bp.bias.data,
+        xc = x.data.transpose(0, 3, 1, 2)
+        parts = [naive_conv2d(xc, bp.weight.data, bp.bias.data,
                               pad=bp.padding, groups=bp.groups) for bp in fp.branches]
         cat = np.concatenate(parts, axis=1)
-        want = naive_conv2d(cat, fp.reduce.weight.data, fp.reduce.bias.data)
+        want = naive_conv2d(cat, fp.reduce.weight.data, fp.reduce.bias.data).transpose(0, 2, 3, 1)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_empty_scales_rejected(self):

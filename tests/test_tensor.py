@@ -236,6 +236,29 @@ class TestGradCheck:
             y = T.div(Tensor([1.0, 1.0]), x)
             T.check_finite_graph(y)
 
+    @staticmethod
+    def _probe_check(coef, grad_error):
+        """grad_check_params on L = 2.3 + <coef, p>, whose recorded gradient
+        is coef + grad_error."""
+        p = Tensor(np.array([0.3, -0.2, 0.1]), requires_grad=True)
+
+        def loss():
+            def backward(g):
+                T._accumulate(p, g * (coef + grad_error))
+            return T._make(np.asarray(2.3 + p.data @ coef), (p,), backward, "probe")
+
+        return T.grad_check_params(loss, [("p", p)], eps=1e-5)["p"]
+
+    def test_params_one_percent_error_on_small_gradient_fails(self):
+        coef = np.array([2e-7, 0.5, -1.0])
+        assert self._probe_check(coef, np.array([2e-9, 0.0, 0.0])) > 1e-4
+
+    def test_params_roundoff_sized_difference_passes(self):
+        # 1e-10 on a 1e-8 gradient is 1% relative, but below the central
+        # difference's own round-off at L ~ 2.1 (4 ulp / eps ~ 1.8e-10)
+        coef = np.array([1e-8, 0.5, -1.0])
+        assert self._probe_check(coef, np.array([1e-10, 0.0, 0.0])) == 0.0
+
     def test_five_random_inputs_per_core_op(self):
         for seed in range(5):
             w = T.uniform([3, 3], -1, 1, seed=100 + seed, dtype="f64")

@@ -1,0 +1,35 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps ctanet functions by
+module attribute name. Every name it wraps must exist, or each traced
+benchmark run fails on entry."""
+
+import importlib.util
+import os
+
+import ctanet
+import ctanet.data
+import ctanet.gradcheck
+import ctanet.nn
+import ctanet.train
+from ctanet import model as M
+from ctanet import tensor as T
+
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_span_patches_enter_and_exit():
+    tracing = load_tracing()
+    rec = tracing.Recorder()
+    originals = (ctanet.nn.linear, M.fuse_tokens, M.rrcv_forward, T.backward)
+    net = M.model_init(M.tiny_config(depth=1), seed=0)
+    with tracing.span_patches(rec, ctanet):
+        M.model_forward(T.uniform([1, 3, 32, 32], seed=1), net)
+    assert (ctanet.nn.linear, M.fuse_tokens, M.rrcv_forward, T.backward) == originals
+    assert {"model.fuse_tokens", "model.rrcv_forward", "nn.linear"} <= set(rec.names)

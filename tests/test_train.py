@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctanet import tensor as T
-from ctanet.data import DatasetSpec, load_dataset
+from ctanet.data import Dataset, DatasetSpec, load_dataset
 from ctanet.errors import ConfigError, DataError
 from ctanet.model import model_forward, model_init, tiny_config
 from ctanet.nn import cross_entropy
@@ -122,6 +122,12 @@ class TestDeterminism:
             if not loss1.item() < loss0.item():
                 failures += 1
         assert failures <= 1
+
+    def test_evaluate_empty_split_is_data_error(self):
+        cfg, net, ds = micro_setup(seed=6, dtype="f64", synth=48)
+        empty = Dataset(ds.images[:0], ds.labels[:0], ds.num_classes)
+        with pytest.raises(DataError, match="empty"):
+            evaluate(net, empty, batch_size=16, dtype="f64")
 
     def test_evaluate_mutates_nothing(self):
         cfg, net, ds = micro_setup(seed=6, dtype="f64", synth=48)
