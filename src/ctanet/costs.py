@@ -159,10 +159,6 @@ def count_params(cfg: ModelConfig) -> CostReport:
     return count_costs(cfg, batch=1)
 
 
-def count_flops(cfg: ModelConfig, batch: int = 1) -> CostReport:
-    return count_costs(cfg, batch=batch)
-
-
 def compare_attention_costs(cfg: ModelConfig, batch: int = 1):
     """(param_reduction_pct, flop_reduction_pct) of the multi-scale reduced
     attention model against its standard-attention reference.

@@ -268,7 +268,7 @@ def augment(batch: ImageBatch, flags: AugmentFlags, seed: int) -> ImageBatch:
         sc = T.uniform([B, 3], flags.jitter_lo, flags.jitter_hi,
                        seed=T.fold_seed(seed, 4)).numpy()
         imgs = color_jitter(imgs, sc)
-    return ImageBatch(Tensor(np.ascontiguousarray(imgs)), batch.labels)
+    return ImageBatch(Tensor(imgs), batch.labels)
 
 
 # --------------------------------------------------------------------------
@@ -311,4 +311,4 @@ def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: Optional[int] = None)
         order = np.argsort(T.random_u64(shuffle_seed, n), kind="stable")
     for lo in range(0, n, batch_size):
         idx = order[lo:lo + batch_size]
-        yield ImageBatch(Tensor(np.ascontiguousarray(ds.images[idx])), ds.labels[idx])
+        yield ImageBatch(Tensor(ds.images[idx]), ds.labels[idx])

@@ -22,6 +22,11 @@ from .tensor import Tensor
 TIGHT_TOL = 1e-6   # elementwise, matmul, softmax, data movement
 LAYER_TOL = 1e-4   # composite layers and blocks
 
+# the architecture blocks at micro scale: a 2x2 token grid of 8-dim tokens
+MICRO = ModelConfig(image_size=4, patch_size=2, embed_dim=8, depth=1, heads=2,
+                    mlp_ratio=2, kernel_scales=(1, 3), kv_reduction=2,
+                    rrcv_variant="resnet", num_classes=2, rrcv_channels=2).validate()
+
 
 @dataclass
 class CheckResult:
@@ -106,44 +111,37 @@ def op_checks(seed: int = 0):
          lambda x: _weighted(reconstruct(x, 4, 4), s(67)), _rand([1, 2, 4, 2, 2], s(68))),
     ]
 
-    # architecture blocks at micro scale (grid 2x2, 8-dim tokens)
-    micro = ModelConfig(image_size=4, patch_size=2, embed_dim=8, depth=1, heads=2,
-                        mlp_ratio=2, kernel_scales=(1, 3), kv_reduction=2,
-                        rrcv_variant="resnet", num_classes=2, rrcv_channels=2)
-    micro.validate()
-    net = model_init(micro, seed=T.fold_seed(seed, 70), dtype="f64")
+    # architecture blocks at micro scale
+    net = model_init(MICRO, seed=T.fold_seed(seed, 70), dtype="f64")
     bp = net.blocks[0]
-    mhsa_cfg = replace(micro, attention_kind="mhsa", kernel_scales=(), kv_reduction=1)
+    mhsa_cfg = replace(MICRO, attention_kind="mhsa", kernel_scales=(), kv_reduction=1)
     mhsa_net = model_init(mhsa_cfg, seed=T.fold_seed(seed, 71), dtype="f64")
 
-    tok = _rand([2, micro.tokens, 8], s(72))
+    tok = _rand([2, MICRO.tokens, 8], s(72))
     fmap = _rand([1, 2, 2, 8], s(73))    # channels-last [B, H, W, C]
 
     checks += [
         ("multi_scale_fuse", LAYER_TOL,
          lambda x: _weighted(multi_scale_fuse(x, bp.attn.fusion), s(80)), fmap),
         ("rrcv_forward", LAYER_TOL,
-         lambda x: _weighted(rrcv_forward(x, bp.rrcv, micro), s(81)), tok),
+         lambda x: _weighted(rrcv_forward(x, bp.rrcv, MICRO), s(81)), tok),
         ("lmf_mhsa", LAYER_TOL,
-         lambda x: _weighted(lmf_mhsa(x, bp.attn, micro), s(82)), tok),
+         lambda x: _weighted(lmf_mhsa(x, bp.attn, MICRO), s(82)), tok),
         ("mhsa", LAYER_TOL,
          lambda x: _weighted(mhsa(x, mhsa_net.blocks[0].attn, 2), s(83)), tok),
         ("ct_block", LAYER_TOL,
-         lambda x: _weighted(ct_block(x, bp, micro), s(84)), tok),
+         lambda x: _weighted(ct_block(x, bp, MICRO), s(84)), tok),
     ]
     return checks
 
 
 def block_param_check(seed: int = 0) -> dict:
     """Block loss against every block parameter, all coordinates."""
-    micro = ModelConfig(image_size=4, patch_size=2, embed_dim=8, depth=1, heads=2,
-                        mlp_ratio=2, kernel_scales=(1, 3), kv_reduction=2,
-                        rrcv_variant="resnet", num_classes=2, rrcv_channels=2)
-    net = model_init(micro, seed=T.fold_seed(seed, 90), dtype="f64")
-    x = _rand([2, micro.tokens, 8], T.fold_seed(seed, 91))
-    w = _rand([2, micro.tokens, 8], T.fold_seed(seed, 92))
+    net = model_init(MICRO, seed=T.fold_seed(seed, 90), dtype="f64")
+    x = _rand([2, MICRO.tokens, 8], T.fold_seed(seed, 91))
+    w = _rand([2, MICRO.tokens, 8], T.fold_seed(seed, 92))
     params = [(n, p) for n, p in net.named_parameters() if n.startswith("blocks.0")]
-    return T.grad_check_params(lambda: T.reduce_sum(T.mul(ct_block(x, net.blocks[0], micro), w)),
+    return T.grad_check_params(lambda: T.reduce_sum(T.mul(ct_block(x, net.blocks[0], MICRO), w)),
                                params, eps=1e-5)
 
 

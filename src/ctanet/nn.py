@@ -124,6 +124,8 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
     w, b = p.weight, p.bias
     depthwise = G == C == OC
     taps = [(i, j) for i in range(k) for j in range(k)]
+    # Tap weights are packed contiguous so each tap's multiply or matmul
+    # reads a dense [C] vector or [C, OC] matrix.
     if depthwise:                       # [k, k, C]; the flipped taps feed dx
         wt = np.ascontiguousarray(w.data[:, 0].transpose(1, 2, 0))
         wflip = np.ascontiguousarray(wt[::-1, ::-1])

@@ -2,8 +2,13 @@
 
 Design points, fixed for the whole package:
 
-- Values own their buffers. Every op returns a fresh row-major array, so
-  backward never aliases into a live input.
+- Tape values are never mutated. An op may return a view of its input
+  (``reshape``, ``permute`` and ``slice_`` do; ``expand`` returns a
+  read-only broadcast), and a gradient may be shared by several tensors,
+  so ``_accumulate`` adds out of place. In-place writes go only into a
+  buffer the writing function has just allocated, or into a leaf's
+  ``.data`` while no tape reads it: the AdamW step after backward, and
+  ``grad_check_params`` between its no-grad forwards.
 - The tape is implicit: each non-leaf tensor keeps its parents and a
   closure that scatters the incoming gradient to them. ``backward`` does
   an iterative topological walk (no recursion limit issues on deep nets).
@@ -69,7 +74,7 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        self.data = np.ascontiguousarray(arr)
+        self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -102,9 +107,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, dtype={self.dtype}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -142,9 +144,9 @@ class Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op: str) -> Tensor:
@@ -185,26 +187,6 @@ def ones(shape: Sequence[int], dtype: str = "f32", requires_grad: bool = False) 
 
 def full(shape: Sequence[int], value: float, dtype: str = "f32", requires_grad: bool = False) -> Tensor:
     return Tensor(np.full(_check_shape(shape), value, dtype=_np_dtype(dtype)), requires_grad=requires_grad)
-
-
-def construct(shape: Sequence[int], dtype: str, init, requires_grad: bool = False) -> Tensor:
-    """Build a tensor from an init spec.
-
-    ``init`` is ``"zeros"``, ``"ones"``, ``("constant", c)``,
-    ``("uniform", a, b, seed)`` or ``("normal", mu, sigma, seed)``.
-    """
-    if init == "zeros":
-        return zeros(shape, dtype, requires_grad)
-    if init == "ones":
-        return ones(shape, dtype, requires_grad)
-    kind = init[0]
-    if kind == "constant":
-        return full(shape, init[1], dtype, requires_grad)
-    if kind == "uniform":
-        return uniform(shape, init[1], init[2], seed=init[3], dtype=dtype, requires_grad=requires_grad)
-    if kind == "normal":
-        return normal(shape, init[1], init[2], seed=init[3], dtype=dtype, requires_grad=requires_grad)
-    raise ShapeError(f"unknown init spec {init!r}")
 
 
 # --------------------------------------------------------------------------
@@ -490,7 +472,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
                 gg = np.expand_dims(gg, axis)
             elif axis is None and not keepdims:
                 gg = np.asarray(gg).reshape((1,) * a.ndim)
-            _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+            _accumulate(a, np.broadcast_to(gg, a.shape))
 
     return _make(out_data, (a,), backward, "sum")
 
@@ -507,7 +489,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
                 gg = np.expand_dims(gg, axis)
             elif axis is None and not keepdims:
                 gg = gg.reshape((1,) * a.ndim)
-            _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+            _accumulate(a, np.broadcast_to(gg, a.shape))
 
     return _make(out_data, (a,), backward, "mean")
 
@@ -543,7 +525,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"cannot reshape {list(a.shape)} to {list(shape)}")
-    out_data = a.data.reshape(shape).copy()
+    out_data = a.data.reshape(shape)
 
     def backward(g):
         if a.requires_grad:
@@ -556,7 +538,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"bad permutation {list(axes)} for rank {a.ndim}")
-    out_data = np.ascontiguousarray(a.data.transpose(axes))
+    out_data = a.data.transpose(axes)
     inv = np.argsort(axes)
 
     def backward(g):
@@ -601,18 +583,19 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def slice_(a: Tensor, key) -> Tensor:
     """Slice with a tuple of ``slice``/int entries (ints keep the axis).
 
-    Backward scatters the gradient into a zero buffer of the input shape.
+    The output is a view. Backward scatters the gradient into a fresh zero
+    buffer of the input shape.
     """
     if not isinstance(key, tuple):
         key = (key,)
     norm = tuple(slice(k, k + 1) if isinstance(k, int) else k for k in key)
-    out_data = a.data[norm].copy()
+    out_data = a.data[norm]
 
     def backward(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[norm] += g
+            scattered = np.zeros_like(a.data)
+            scattered[norm] = g
+            _accumulate(a, scattered)
 
     return _make(out_data, (a,), backward, "slice")
 
@@ -631,9 +614,9 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 0):
 
 
 def expand(a: Tensor, shape: Sequence[int]) -> Tensor:
-    """Broadcast to ``shape`` (materialized). Backward sum-reduces."""
+    """Broadcast to ``shape`` as a read-only view. Backward sum-reduces."""
     shape = tuple(int(s) for s in shape)
-    out_data = np.broadcast_to(a.data, shape).copy()
+    out_data = np.broadcast_to(a.data, shape)
 
     def backward(g):
         if a.requires_grad:
@@ -737,13 +720,13 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     """
     if x.dtype != "f64":
         raise ContractError("grad_check requires an f64 input")
-    x0 = Tensor(x.data.copy(), requires_grad=True)
+    x0 = Tensor(x.data, requires_grad=True)
     y = f(x0)
     if y.size != 1:
         raise ContractError("grad_check requires a scalar-valued function")
     check_finite_graph(y)
     backward(y)
-    analytic = np.zeros_like(x0.data) if x0.grad is None else x0.grad.copy()
+    analytic = np.zeros_like(x0.data) if x0.grad is None else x0.grad
 
     flat = x.data.copy().reshape(-1)
     cd = np.empty_like(flat)
@@ -781,13 +764,12 @@ def grad_check_params(loss_fn: Callable[[], Tensor], params: Sequence[tuple[str,
     check_finite_graph(y)
     delta = 4.0 * float(np.spacing(abs(y.item()))) / eps
     backward(y)
-    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for name, p in params}
+    analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad) for name, p in params}
 
     errors: dict[str, float] = {}
     with no_grad():
         for k, (name, p) in enumerate(params):
-            flat = p.data.reshape(-1)
-            n = flat.size
+            flat, n = p.data.flat, p.data.size   # writes through for any layout
             if max_coords_per_param is not None and n > max_coords_per_param:
                 idxs = random_u64(fold_seed(seed, k), max_coords_per_param) % _U64(n)
                 idxs = np.unique(idxs.astype(np.int64))

@@ -283,18 +283,17 @@ def load_checkpoint(path: str):
         src = tensors[name]
         if src.shape != p.shape:
             raise DataError(f"{path}: shape mismatch for {name}: {src.shape} vs {p.shape}")
-        p.data = src.data.copy()
+        p.data = src.data
     state = None
     if has_opt:
         (step,) = struct.unpack("<Q", rd.take(8))
         m, v = {}, {}
-        for name, _ in named:
-            m[name] = rd.tensor()
-            v[name] = rd.tensor()
-        state = OptimizerState(
-            m={k: t.data.copy() for k, t in m.items()},
-            v={k: t.data.copy() for k, t in v.items()},
-            step=int(step))
+        for name, p in named:
+            m[name], v[name] = rd.tensor().data, rd.tensor().data
+            if m[name].shape != p.shape or v[name].shape != p.shape:
+                raise DataError(f"{path}: optimizer moment shape mismatch for {name}: "
+                                f"{m[name].shape}/{v[name].shape} vs {p.shape}")
+        state = OptimizerState(m=m, v=v, step=int(step))
     (epoch,) = struct.unpack("<I", rd.take(4))
     (seed,) = struct.unpack("<Q", rd.take(8))
     return net, state, epoch, seed

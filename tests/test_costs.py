@@ -6,8 +6,7 @@ import pytest
 
 from conftest import random_valid_config
 from ctanet.costs import (compare_attention_costs, conv_macs, count_costs,
-                          count_flops, count_params, emit_table,
-                          separable_pair_params)
+                          count_params, emit_table, separable_pair_params)
 from ctanet.errors import ConfigError
 from ctanet.model import ModelConfig, model_init, paper_config, tiny_config
 
@@ -57,12 +56,12 @@ class TestFlopConventions:
 
     def test_batch_scaling(self):
         cfg = tiny_config()
-        assert count_flops(cfg, batch=4).total_macs == 4 * count_flops(cfg, batch=1).total_macs
-        assert count_params(cfg).total_params == count_flops(cfg, batch=4).total_params
+        assert count_costs(cfg, batch=4).total_macs == 4 * count_costs(cfg, batch=1).total_macs
+        assert count_params(cfg).total_params == count_costs(cfg, batch=4).total_params
 
     def test_monotone_in_image_depth_dim(self):
         base = tiny_config()
-        fl = lambda c: count_flops(c).total_macs
+        fl = lambda c: count_costs(c).total_macs
         assert fl(tiny_config(image_size=64)) >= fl(base)
         assert fl(tiny_config(depth=6)) >= fl(base)
         assert fl(tiny_config(embed_dim=128)) >= fl(base)

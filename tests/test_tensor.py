@@ -5,6 +5,8 @@ import pytest
 
 from ctanet import tensor as T
 from ctanet.errors import ContractError, NumericsError, ShapeError
+from ctanet.model import model_forward, model_init, tiny_config
+from ctanet.nn import cross_entropy
 from ctanet.tensor import Tensor
 
 
@@ -14,12 +16,12 @@ class TestConstruction:
         assert t.data.tolist() == [[1, 1], [1, 1]]
 
     def test_constant_fill(self):
-        t = T.construct([3], "f64", ("constant", 2.5))
+        t = T.full([3], 2.5, dtype="f64")
         assert t.data.tolist() == [2.5, 2.5, 2.5]
 
     def test_uniform_same_seed_bit_identical(self):
-        a = T.construct([4], "f64", ("uniform", 0, 1, 7))
-        b = T.construct([4], "f64", ("uniform", 0, 1, 7))
+        a = T.uniform([4], 0, 1, seed=7, dtype="f64")
+        b = T.uniform([4], 0, 1, seed=7, dtype="f64")
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_uniform_different_seed_differs(self):
@@ -212,6 +214,55 @@ class TestBackward:
         with T.no_grad():
             y = T.mul(x, x)
         assert not y.requires_grad and y._parents == ()
+
+
+class TestMutationRule:
+    """Tape values are never mutated: shape ops return views, and a gradient
+    shared by several tensors is never written in place."""
+
+    def test_shape_ops_return_views(self):
+        x = T.uniform([2, 3, 4], seed=1, dtype="f64")
+        col = T.uniform([2, 1], seed=2, dtype="f64")
+        assert np.shares_memory(T.reshape(x, [6, 4]).data, x.data)
+        assert np.shares_memory(T.permute(x, (2, 0, 1)).data, x.data)
+        assert np.shares_memory(T.slice_(x, (slice(None), slice(1, 3))).data, x.data)
+        wide = T.expand(col, [2, 5])
+        assert np.shares_memory(wide.data, col.data)
+        assert not wide.data.flags.writeable
+
+    def test_backward_leaves_every_node_value_unchanged(self):
+        cfg = tiny_config(depth=1)
+        net = model_init(cfg, seed=3, dtype="f64")
+        img = T.uniform([2, 3, cfg.image_size, cfg.image_size], seed=4, dtype="f64")
+        loss = cross_entropy(model_forward(img, net), np.array([1, 5]))
+        nodes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        before = [n.data.tobytes() for n in nodes]
+        T.backward(loss)
+        assert all(n.grad is not None for n in net.parameters())
+        assert [n.data.tobytes() for n in nodes] == before
+
+    def test_shared_upstream_gradient_is_not_written_through(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        w = Tensor([5.0, 7.0])
+        T.backward(T.reduce_sum(T.mul(T.add(a, b), w)))   # a and b get the same g
+        T.backward(T.reduce_sum(T.mul(a, a)))
+        assert a.grad.tolist() == [7.0, 11.0]
+        assert b.grad.tolist() == [5.0, 7.0]
+
+    def test_slice_backward_adds_to_existing_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        other = Tensor(np.zeros((2, 3)), requires_grad=True)
+        T.backward(T.reduce_sum(T.mul(T.add(x, other), Tensor(np.full((2, 3), 2.0)))))
+        T.backward(T.reduce_sum(T.slice_(x, (slice(None), slice(1, 3)))))
+        assert x.grad.tolist() == [[2.0, 3.0, 3.0], [2.0, 3.0, 3.0]]
+        assert other.grad.tolist() == [[2.0] * 3] * 2
 
 
 class TestGradCheck:

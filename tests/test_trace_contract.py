@@ -1,6 +1,7 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps ctanet functions by
 module attribute name. Every name it wraps must exist, or each traced
-benchmark run fails on entry."""
+benchmark run fails on entry; a traced forward and backward must run and
+leave the originals in place."""
 
 import importlib.util
 import os
@@ -27,9 +28,15 @@ def load_tracing():
 def test_span_patches_enter_and_exit():
     tracing = load_tracing()
     rec = tracing.Recorder()
-    originals = (ctanet.nn.linear, M.fuse_tokens, M.rrcv_forward, T.backward)
+    originals = (ctanet.nn.linear, M.fuse_tokens, M.rrcv_forward, T.backward, T.zero_grads)
     net = M.model_init(M.tiny_config(depth=1), seed=0)
+    rec.open_step()     # shape-op output bytes are counted only inside a step
     with tracing.span_patches(rec, ctanet):
-        M.model_forward(T.uniform([1, 3, 32, 32], seed=1), net)
-    assert (ctanet.nn.linear, M.fuse_tokens, M.rrcv_forward, T.backward) == originals
-    assert {"model.fuse_tokens", "model.rrcv_forward", "nn.linear"} <= set(rec.names)
+        logits = M.model_forward(T.uniform([1, 3, 32, 32], seed=1), net)
+        T.backward(T.reduce_sum(logits))
+        T.zero_grads(net.parameters())
+    assert (ctanet.nn.linear, M.fuse_tokens, M.rrcv_forward, T.backward, T.zero_grads) == originals
+    assert {"model.fuse_tokens", "model.rrcv_forward", "nn.linear",
+            "tensor.backward", "tensor.zero_grads"} <= set(rec.names)
+    assert rec.copy_bytes[rec.step_id] > 0
+    assert all(p.grad is None for p in net.parameters())

@@ -161,6 +161,26 @@ class TestCheckpoints:
         save_checkpoint(p2, net2, st2, epoch=ep, seed=sd)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_wrong_shaped_moment_rejected(self, tmp_path, moment):
+        cfg, net, _ = micro_setup(seed=11, depth=1)
+        st = OptimizerState.for_model(net)
+        name = net.named_parameters()[0][0]
+        getattr(st, moment)[name] = np.zeros((3, 5), dtype=np.float32)
+        path = str(tmp_path / "moment.ckpt")
+        save_checkpoint(path, net, st)
+        with pytest.raises(DataError, match=f"moment shape mismatch for {name}"):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_are_writeable(self, tmp_path):
+        # AdamW updates weights and moments in place
+        cfg, net, _ = micro_setup(seed=12, depth=1)
+        path = str(tmp_path / "w.ckpt")
+        save_checkpoint(path, net, OptimizerState.for_model(net))
+        net2, st2, _, _ = load_checkpoint(path)
+        arrays = [p.data for p in net2.parameters()] + list(st2.m.values()) + list(st2.v.values())
+        assert all(a.flags.writeable for a in arrays)
+
     def test_corrupted_magic_rejected(self, tmp_path):
         cfg, net, _ = micro_setup(seed=9, depth=1)
         path = str(tmp_path / "bad.ckpt")
