@@ -1,8 +1,12 @@
 """Neural layers: convolutions, linear, layer norm, GELU, cross-entropy.
 
-Convolutions run channels-last as a sum over the kernel taps of shifted
-input slices times per-tap weights; the naive nested-loop form lives in
-the test suite as the oracle.
+Each layer is one tape op. It computes in place into buffers it allocates
+itself (never into its inputs) and its backward reads only what the
+forward kept: ``linear`` is one [rows, in] @ W^T GEMM, ``gelu`` keeps its
+derivative in one buffer. Convolutions run channels-last: depthwise is one
+einsum over the k x k windows of the padded map, dense and grouped convs a
+sum over the taps of shifted input slices times per-tap weights. The
+naive nested-loop form lives in the test suite as the oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
@@ -109,27 +114,38 @@ def _conv_checks(x: Tensor, p: Conv2dParams):
 
 
 def _pad_hw(a: np.ndarray, n: int) -> np.ndarray:
-    return np.pad(a, [(0, 0), (n, n), (n, n), (0, 0)]) if n else a
+    """Zero-pad the two spatial axes of [B, H, W, C] by n on every side."""
+    if not n:
+        return a
+    B, H, W, C = a.shape
+    out = np.zeros((B, H + 2 * n, W + 2 * n, C), dtype=a.dtype)
+    out[:, n:n + H, n:n + W] = a
+    return out
+
+
+def _windows(a: np.ndarray, k: int, step: int) -> np.ndarray:
+    """[B, OH, OW, C, k, k] view of every k x k window of a padded map, at ``step``."""
+    return sliding_window_view(a, (k, k), axis=(1, 2))[:, ::step, ::step]
 
 
 def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
     """Grouped 2-d cross-correlation of a channels-last map [B, H, W, C].
 
-    Output [B, OH, OW, out_ch], OH = floor((H + 2*pad - k)/stride) + 1. A
-    tap multiplies its [.., C] slice by a block-diagonal [C, out_ch] matrix;
-    when groups == C == out_ch (depthwise) it is a per-channel multiply.
+    Output [B, OH, OW, out_ch], OH = floor((H + 2*pad - k)/stride) + 1.
+    Depthwise (groups == C == out_ch) is one einsum of the input's windows
+    with the [k, k, C] taps. Otherwise each tap multiplies its [.., C] slice
+    by a block-diagonal [C, out_ch] matrix and the taps are summed.
     """
     B, H, W, C, OC, k, OH, OW = _conv_checks(x, p)
     s, pad, G = p.stride, p.padding, p.groups
     w, b = p.weight, p.bias
     depthwise = G == C == OC
     taps = [(i, j) for i in range(k) for j in range(k)]
-    # Tap weights are packed contiguous so each tap's multiply or matmul
-    # reads a dense [C] vector or [C, OC] matrix.
+    # Tap weights are packed contiguous with the channel axis last, so the
+    # einsum's inner loop and each tap's matmul read dense memory.
     if depthwise:                       # [k, k, C]; the flipped taps feed dx
         wt = np.ascontiguousarray(w.data[:, 0].transpose(1, 2, 0))
-        wflip = np.ascontiguousarray(wt[::-1, ::-1])
-        prod = np.multiply
+        wflip = wt[::-1, ::-1]
     else:                               # block-diagonal [k, k, C, OC]
         Cg, Og = C // G, OC // G
         wt = np.zeros((k, k, C, OC), dtype=w.data.dtype)
@@ -137,19 +153,23 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
             wt[:, :, gi * Cg:(gi + 1) * Cg, gi * Og:(gi + 1) * Og] = \
                 w.data[gi * Og:(gi + 1) * Og].transpose(2, 3, 1, 0)
         wflip = np.ascontiguousarray(wt[::-1, ::-1].swapaxes(2, 3))
-        prod = np.matmul
 
     def window(a, i, j, step, oh, ow):
         return a[:, i:i + step * oh:step, j:j + step * ow:step]
 
     def tap_sum(a, wk, step, oh, ow):
-        out = prod(window(a, 0, 0, step, oh, ow), wk[0, 0])
+        out = window(a, 0, 0, step, oh, ow) @ wk[0, 0]
         for i, j in taps[1:]:
-            out += prod(window(a, i, j, step, oh, ow), wk[i, j])
+            out += window(a, i, j, step, oh, ow) @ wk[i, j]
         return out
 
+    def correlate(a, wk, step, oh, ow):
+        if depthwise:
+            return np.einsum("bhwcij,ijc->bhwc", _windows(a, k, step), wk)
+        return tap_sum(a, wk, step, oh, ow)
+
     xp = _pad_hw(x.data, pad)
-    out = tap_sum(xp, wt, s, OH, OW)
+    out = correlate(xp, wt, s, OH, OW)
     if b is not None:
         out += b.data
 
@@ -158,9 +178,7 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
             T._accumulate(b, g.reshape(-1, OC).sum(axis=0))
         if w.requires_grad:
             if depthwise:
-                dwt = np.stack([np.einsum("bhwc,bhwc->c", window(xp, i, j, s, OH, OW), g)
-                                for i, j in taps])
-                dw = dwt.T.reshape(C, 1, k, k)
+                dw = np.einsum("bhwcij,bhwc->cij", _windows(xp, k, s), g).reshape(C, 1, k, k)
             else:
                 g2 = g.reshape(-1, OC)
                 dwt = np.stack([window(xp, i, j, s, OH, OW).reshape(-1, C).T @ g2
@@ -176,7 +194,7 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
                 g1[:, ::s, ::s] = g
                 g = g1
             gp = _pad_hw(g, k - 1)[:, pad:pad + H + k - 1, pad:pad + W + k - 1]
-            T._accumulate(x, tap_sum(gp, wflip, 1, H, W))
+            T._accumulate(x, correlate(gp, wflip, 1, H, W))
 
     parents = (x, w) if b is None else (x, w, b)
     return T._make(out, parents, backward, "conv2d")
@@ -199,9 +217,11 @@ def pointwise_nhwc(xs, p: Conv2dParams) -> Tensor:
     w, b = p.weight, p.bias
     w2 = w.data.reshape(OC, C)
     parts = list(zip(xs, bounds[:-1], bounds[1:]))
-    out = 0.0 if b is None else b.data
-    for x, lo, hi in parts:
-        out = out + x.data.reshape(-1, hi - lo) @ w2[:, lo:hi].T
+    out = xs[0].data.reshape(-1, bounds[1]) @ w2[:, :bounds[1]].T
+    for x, lo, hi in parts[1:]:
+        out += x.data.reshape(-1, hi - lo) @ w2[:, lo:hi].T
+    if b is not None:
+        out += b.data
     out = out.reshape(xs[0].shape[:-1] + (OC,))
 
     def backward(g):
@@ -249,17 +269,33 @@ def pointwise_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 # --------------------------------------------------------------------------
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    """y = x W^T + b over the last axis."""
-    in_dim = p.weight.shape[1]
+    """y = x W^T + b over the last axis: one [rows, in] @ W^T GEMM."""
+    w, b = p.weight, p.bias
+    out_dim, in_dim = w.shape
     if x.shape[-1] != in_dim:
         raise ShapeError(f"linear expects last axis {in_dim}, got {list(x.shape)}")
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = T.reshape(x, [1, in_dim])
-    y = T.matmul(x, T.permute(p.weight, (1, 0)))
-    if p.bias is not None:
-        y = T.add(y, p.bias)
-    return T.reshape(y, [p.weight.shape[0]]) if squeeze else y
+    T._check_same_dtype(x, w, "linear")
+    x2 = x.data.reshape(-1, in_dim)     # a copy only when x is a non-contiguous view
+    out = x2 @ w.data.T
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, out_dim)
+        if b is not None and b.requires_grad:
+            T._accumulate(b, g2.sum(axis=0))
+        if w.requires_grad:
+            T._accumulate(w, g2.T @ x2)
+        if x.requires_grad:
+            T._accumulate(x, (g2 @ w.data).reshape(x.shape))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return T._make(out.reshape(x.shape[:-1] + (out_dim,)), parents, backward, "linear")
+
+
+def _row_dot(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Dot product of matching rows of two [rows, dim] arrays, as a [rows, 1] column."""
+    return np.einsum("ij,ij->i", a, c)[:, None]
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
@@ -269,25 +305,30 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
         raise ShapeError(f"layer_norm expects last axis {dim}, got {list(x.shape)}")
     gamma, beta, eps = p.gamma, p.beta, p.eps
 
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    x2 = x.data.reshape(-1, dim)
+    xhat = x2 - x2.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(_row_dot(xhat, xhat) / dim + eps)
+    xhat *= inv
+    # backward reads xhat, so the output gets its own buffer only when recording
+    out = xhat * gamma.data if T.recording(x, gamma, beta) else np.multiply(xhat, gamma.data, out=xhat)
+    out += beta.data
 
     def backward(g):
+        g2 = g.reshape(-1, dim)
         if gamma.requires_grad:
-            T._accumulate(gamma, (g * xhat).reshape(-1, dim).sum(axis=0))
+            T._accumulate(gamma, np.einsum("ij,ij->j", g2, xhat))
         if beta.requires_grad:
-            T._accumulate(beta, g.reshape(-1, dim).sum(axis=0))
+            T._accumulate(beta, g2.sum(axis=0))
         if x.requires_grad:
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            T._accumulate(x, inv * (dxhat - m1 - xhat * m2))
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
+            dxhat = g2 * gamma.data
+            dx = xhat * (_row_dot(dxhat, xhat) / -dim)
+            dx += dxhat
+            dx -= dxhat.mean(axis=1, keepdims=True)
+            dx *= inv
+            T._accumulate(x, dx.reshape(x.shape))
 
-    return T._make(out, (x, gamma, beta), backward, "layer_norm")
+    return T._make(out.reshape(x.shape), (x, gamma, beta), backward, "layer_norm")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)   # 0.7978845608028654
@@ -295,18 +336,36 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-form GELU: 0.5 x (1 + tanh(c (x + a x^3))), c = sqrt(2/pi), a = 0.044715."""
+    """tanh-form GELU: 0.5 x (1 + tanh(c (x + a x^3))), c = sqrt(2/pi), a = 0.044715.
+
+    While recording, forward also forms the derivative
+    0.5 (1 + t) + 0.5 x (1 - t^2) u' = (1 + t) (0.5 + 0.5 x u' (1 - t)),
+    t = tanh(u), u' = c (1 + 3 a x^2), in one buffer for backward to read.
+    """
     xd = x.data
-    u = _GELU_C * (xd + _GELU_A * (xd * xd * xd))
-    t = np.tanh(u)
-    out = 0.5 * xd * (1.0 + t)
+    t = xd * xd
+    record = T.recording(x)
+    if record:
+        d = t * (3.0 * _GELU_C * _GELU_A)
+        d += _GELU_C
+        d *= xd
+        d *= 0.5                          # 0.5 x u'
+    t *= _GELU_C * _GELU_A
+    t += _GELU_C
+    t *= xd
+    np.tanh(t, out=t)                     # t = tanh(c (x + a x^3))
+    if record:
+        d *= 1.0 - t
+        d += 0.5
+        d *= 1.0 + t
+    t += 1.0
+    t *= xd
+    t *= 0.5                              # the output, in t's buffer
 
     def backward(g):
-        if x.requires_grad:
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-            T._accumulate(x, g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du))
+        T._accumulate(x, g * d)
 
-    return T._make(out, (x,), backward, "gelu")
+    return T._make(t, (x,), backward, "gelu")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

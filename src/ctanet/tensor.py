@@ -149,8 +149,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
+def recording(*parents: Tensor) -> bool:
+    """Whether an op on ``parents`` records a tape node (what ``_make`` decides)."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op: str) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if recording(*parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn, _op=op)
     return Tensor(data, requires_grad=False, _op=op)
 
@@ -434,14 +439,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {list(a.shape)}")
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            _accumulate(a, out_data * (g - dot))
+            # out * (g - <g, out>), the dot product taken along ``axis``
+            dot = np.einsum("...i,...i->...", np.moveaxis(g, axis, -1), np.moveaxis(out_data, axis, -1))
+            ga = g - np.expand_dims(dot, axis)
+            ga *= out_data
+            _accumulate(a, ga)
 
     return _make(out_data, (a,), backward, "softmax")
 
@@ -523,7 +531,7 @@ def reduce(a: Tensor, kind: str, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {list(a.shape)} to {list(shape)}")
     out_data = a.data.reshape(shape)
 
@@ -539,11 +547,10 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"bad permutation {list(axes)} for rank {a.ndim}")
     out_data = a.data.transpose(axes)
-    inv = np.argsort(axes)
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g.transpose(inv))
+            _accumulate(a, g.transpose(np.argsort(axes)))
 
     return _make(out_data, (a,), backward, "permute")
 
@@ -756,9 +763,9 @@ def grad_check_params(loss_fn: Callable[[], Tensor], params: Sequence[tuple[str,
     where delta = 4 ulp(|L|) / eps bounds the central difference's own
     round-off at loss L, so gradients near 1e-8 are not failed on noise.
     """
-    for _, p in params:
+    for name, p in params:
         if p.dtype != "f64":
-            raise ContractError(f"grad_check_params requires f64 parameters")
+            raise ContractError(f"grad_check_params requires f64 parameters, {name!r} is {p.dtype}")
         p.grad = None
     y = loss_fn()
     check_finite_graph(y)

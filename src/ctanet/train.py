@@ -148,6 +148,9 @@ def train_epoch(net: CtaNet, ds: D.Dataset, state: OptimizerState, cfg: TrainCon
         if not math.isfinite(loss.item()):
             raise NumericsError(f"non-finite training loss at epoch {epoch}, step {i}")
         T.backward(loss)
+        for name, p in params:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericsError(f"non-finite gradient for {name} at epoch {epoch}, step {i}")
         adamw_step(params, state, lr_at(epoch + i / steps, cfg), cfg)
         T.zero_grads(p for _, p in params)
         b = len(batch.labels)

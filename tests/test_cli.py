@@ -192,6 +192,27 @@ class TestTrainEval:
                         "--out-dir", str(tmp_path / "runs")])
         assert code == 0
 
+    def test_nonfinite_gradient_exits_4(self, tmp_path, capsys, monkeypatch):
+        real = T.backward
+
+        def poisoned(loss):
+            leaves, stack, seen = [], [loss], set()
+            while stack:
+                node = stack.pop()
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                stack.extend(node._parents)
+                if not node._parents and node.requires_grad:
+                    leaves.append(node)
+            real(loss)
+            leaves[0].grad = np.full_like(leaves[0].data, np.inf)
+
+        monkeypatch.setattr(T, "backward", poisoned)
+        code = run_cli(["train", "--preset", "tiny", *MICRO, "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_NUMERIC
+        assert "non-finite gradient for" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_quick_suite_passes(self, capsys):

@@ -96,6 +96,34 @@ class TestDepthwisePointwise:
         assert np.abs(got - want).max() <= 1e-12
 
 
+class TestDepthwiseStrided:
+    """Depthwise forward, dx and dW are windowed einsums; stride 2 keeps
+    every second window."""
+
+    @pytest.mark.parametrize("size,k", [(6, 3), (7, 3), (7, 5)])
+    def test_against_naive(self, size, k):
+        x = T.uniform([2, 3, size, size], -1, 1, seed=16, dtype="f64")
+        p = nn.conv2d_init(3, 3, k, stride=2, padding=k // 2, groups=3, seed=17, dtype="f64")
+        want = naive_conv2d(x.data, p.weight.data, p.bias.data, stride=2, pad=k // 2, groups=3)
+        got = nn.depthwise_conv2d(x, p).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("size,k", [(6, 3), (7, 3), (7, 5)])
+    def test_f64_grad_check(self, size, k):
+        x = T.uniform([2, size, size, 3], -1, 1, seed=18, dtype="f64")
+        p = nn.conv2d_init(3, 3, k, stride=2, padding=k // 2, groups=3, seed=19, dtype="f64")
+        oh = (size + 2 * (k // 2) - k) // 2 + 1
+        w = T.uniform([2, oh, oh, 3], -1, 1, seed=20, dtype="f64")
+
+        def loss_of(t):
+            return T.reduce_sum(T.mul(nn.conv2d_nhwc(t, p), w))
+
+        assert T.grad_check(loss_of, x) <= 1e-6
+        errs = T.grad_check_params(lambda: loss_of(x), [("weight", p.weight), ("bias", p.bias)])
+        assert max(errs.values()) <= 1e-6
+
+
 class TestLinear:
     def test_identity(self):
         x = T.uniform([3, 4], seed=6, dtype="f64")
@@ -115,6 +143,31 @@ class TestLinear:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             nn.linear(T.ones([2, 3]), nn.linear_init(4, 2, seed=1))
+
+    def test_records_one_node(self):
+        x = T.uniform([2, 3, 4], seed=11, dtype="f64", requires_grad=True)
+        p = nn.linear_init(4, 6, seed=12, dtype="f64")
+        y = nn.linear(x, p)
+        assert y._op == "linear"
+        assert len(y._parents) == 3
+        assert all(a is b for a, b in zip(y._parents, (x, p.weight, p.bias)))
+
+    def test_permuted_input_without_bias(self):
+        base = T.uniform([4, 2, 3], -1, 1, seed=13, dtype="f64")
+        p = nn.linear_init(4, 5, bias=False, seed=14, dtype="f64")
+        x = T.permute(base, (1, 2, 0))              # [2, 3, 4], a transposed view
+        assert not x.data.flags.c_contiguous
+        y = nn.linear(x, p)
+        assert y.shape == (2, 3, 5) and y._parents[1] is p.weight and len(y._parents) == 2
+        assert np.abs(y.data - x.data @ p.weight.data.T).max() <= 1e-12
+        w = T.uniform([2, 3, 5], -1, 1, seed=15, dtype="f64")
+
+        def loss_of(t):
+            return T.reduce_sum(T.mul(nn.linear(T.permute(t, (1, 2, 0)), p), w))
+
+        assert T.grad_check(loss_of, base) <= 1e-6
+        errs = T.grad_check_params(lambda: loss_of(base), [("weight", p.weight)])
+        assert errs["weight"] <= 1e-6
 
 
 class TestLayerNorm:
@@ -136,6 +189,15 @@ class TestLayerNorm:
         out = nn.layer_norm(T.uniform([4, 3], seed=9, dtype="f64"), p)
         assert np.abs(out.data - 2.5).max() == 0.0
 
+    def test_recording_does_not_change_values(self):
+        p = nn.layer_norm_init(8)
+        x = T.uniform([2, 3, 8], -4, 4, seed=22, dtype="f32")
+        with T.no_grad():
+            plain = nn.layer_norm(x, p).data
+        recorded = nn.layer_norm(Tensor(x.data, requires_grad=True), p)
+        assert recorded.requires_grad
+        assert recorded.data.tobytes() == plain.tobytes()
+
     def test_normalization_statistics(self):
         p = nn.layer_norm_init(32, dtype="f64")
         x = T.uniform([6, 32], -4, 4, seed=10, dtype="f64")
@@ -153,6 +215,23 @@ class TestActivationAndLoss:
         for v in (-1.0, 0.5, 2.0):
             want = 0.5 * v * (1 + math.tanh(math.sqrt(2 / math.pi) * (v + 0.044715 * v ** 3)))
             assert abs(nn.gelu(Tensor([v])).item() - want) < 1e-12
+
+    def test_gelu_gradient_closed_form(self):
+        xs = np.linspace(-10.0, 10.0, 4001)
+        x = Tensor(xs, requires_grad=True)
+        T.backward(T.reduce_sum(nn.gelu(x)))
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+        u = c * (xs + a * xs ** 3)
+        want = 0.5 * (1.0 + np.tanh(u)) + 0.5 * xs * c * (1.0 + 3.0 * a * xs ** 2) / np.cosh(u) ** 2
+        assert np.abs(x.grad - want).max() <= 1e-12
+
+    def test_gelu_recording_does_not_change_values(self):
+        xs = T.uniform([3, 7], -4, 4, seed=21, dtype="f32")
+        with T.no_grad():
+            plain = nn.gelu(xs).data
+        recorded = nn.gelu(Tensor(xs.data, requires_grad=True))
+        assert recorded.requires_grad
+        assert recorded.data.tobytes() == plain.tobytes()
 
     def test_uniform_logits_loss(self):
         loss = nn.cross_entropy(Tensor([[0.0, 0.0]]), [0])

@@ -300,6 +300,11 @@ class TestGradCheck:
 
         return T.grad_check_params(loss, [("p", p)], eps=1e-5)["p"]
 
+    def test_params_requires_f64_names_the_parameter(self):
+        p = T.ones([2], "f32", requires_grad=True)
+        with pytest.raises(ContractError, match="'head.bias' is f32"):
+            T.grad_check_params(lambda: T.reduce_sum(p), [("head.bias", p)])
+
     def test_params_one_percent_error_on_small_gradient_fails(self):
         coef = np.array([2e-7, 0.5, -1.0])
         assert self._probe_check(coef, np.array([2e-9, 0.0, 0.0])) > 1e-4

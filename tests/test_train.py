@@ -244,6 +244,22 @@ class TestIntegration:
             train_epoch(net, ds, OptimizerState.for_model(net),
                         TrainConfig(epochs=1, warmup_epochs=0, seed=15), epoch=0)
 
+    def test_nonfinite_gradient_stops_before_the_update(self, monkeypatch):
+        from ctanet.errors import NumericsError
+        cfg, net, ds = micro_setup(seed=16, dtype="f32", depth=1, synth=32)
+        before = [p.data.copy() for p in net.parameters()]
+        real = T.backward
+
+        def poisoned(loss):
+            real(loss)
+            net.blocks[0].mlp.fc1.weight.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(T, "backward", poisoned)
+        with pytest.raises(NumericsError, match=r"blocks\.0\.mlp\.fc1\.weight at epoch 2, step 0"):
+            train_epoch(net, ds, OptimizerState.for_model(net),
+                        TrainConfig(epochs=3, warmup_epochs=0, seed=16), epoch=2)
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, net.parameters()))
+
     def test_cifar_format_pipeline_end_to_end(self, tmp_path):
         # exercise the exact binary-dataset training path by writing a
         # learnable synthetic set in the CIFAR-10 record format
