@@ -336,18 +336,23 @@ def multi_scale_fuse(x: Tensor, fp: FusionParams) -> Tensor:
     return nn.pointwise_nhwc([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
 
 
-def _attention_core(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool):
+def _attention_core(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool,
+                    query_rows: Optional[int] = None):
+    """Attention of the first `query_rows` tokens (all when None) over the
+    whole sequence: K and V always cover every token."""
     B, S, D = x.shape
     if D % heads:
         raise ConfigError(f"embed dim {D} not divisible by heads {heads}")
     dk = D // heads
+    Sq = S if query_rows is None else query_rows
 
-    def to_heads(t):
-        return T.permute(T.reshape(t, [B, S, heads, dk]), (0, 2, 1, 3))
+    def to_heads(t, rows):
+        return T.permute(T.reshape(t, [B, rows, heads, dk]), (0, 2, 1, 3))
 
-    q = to_heads(nn.linear(x, ap.q))
-    k = to_heads(nn.linear(x, ap.k))
-    v = to_heads(nn.linear(x, ap.v))
+    xq = x if query_rows is None else T.slice_(x, (slice(None), slice(0, Sq)))
+    q = to_heads(nn.linear(xq, ap.q), Sq)
+    k = to_heads(nn.linear(x, ap.k), S)
+    v = to_heads(nn.linear(x, ap.v), S)
 
     if ap.k_reduce is not None:
         def shorten(t, red):
@@ -359,15 +364,16 @@ def _attention_core(x: Tensor, ap: AttentionParams, heads: int, return_weights: 
 
     scores = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
     weights = T.softmax(scores, axis=-1)
-    ctx = T.matmul(weights, v)                        # [B, h, S, dk]
-    ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), [B, S, D])
+    ctx = T.matmul(weights, v)                        # [B, h, Sq, dk]
+    ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), [B, Sq, D])
     y = nn.linear(ctx, ap.out)
     return (y, weights) if return_weights else y
 
 
-def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = False):
+def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = False,
+         query_rows: Optional[int] = None):
     """Standard multi-head self-attention (no fusion, full-length K/V)."""
-    return _attention_core(x, ap, heads, return_weights)
+    return _attention_core(x, ap, heads, return_weights, query_rows)
 
 
 def fuse_tokens(x: Tensor, fusion: FusionParams, cfg: ModelConfig) -> Tensor:
@@ -382,7 +388,8 @@ def fuse_tokens(x: Tensor, fusion: FusionParams, cfg: ModelConfig) -> Tensor:
     return pt if cls is None else T.concat([cls, pt], axis=1)
 
 
-def lmf_mhsa(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False):
+def lmf_mhsa(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False,
+             query_rows: Optional[int] = None):
     """Multi-scale-fused attention with token-axis-shortened K and V.
 
     The class token skips the fusion stage; attention itself covers the
@@ -393,13 +400,16 @@ def lmf_mhsa(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: b
         raise ConfigError(f"kv_reduction {cfg.kv_reduction} exceeds sequence length {S}")
     if ap.fusion is not None:
         x = fuse_tokens(x, ap.fusion, cfg)
-    return _attention_core(x, ap, cfg.heads, return_weights)
+    return _attention_core(x, ap, cfg.heads, return_weights, query_rows)
 
 
-def attention(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False):
+def attention(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False,
+              query_rows: Optional[int] = None):
+    """The configured attention kind; `query_rows` limits the queries (and
+    the output rows) to the leading tokens."""
     if cfg.attention_kind == "mhsa":
-        return mhsa(x, ap, cfg.heads, return_weights)
-    return lmf_mhsa(x, ap, cfg, return_weights)
+        return mhsa(x, ap, cfg.heads, return_weights, query_rows)
+    return lmf_mhsa(x, ap, cfg, return_weights, query_rows)
 
 
 # --------------------------------------------------------------------------
@@ -440,12 +450,7 @@ def mlp_forward(x: Tensor, mp: MlpParams) -> Tensor:
 
 
 def ct_block(x: Tensor, bp: BlockParams, cfg: ModelConfig) -> Tensor:
-    """norm -> attention -> residual, then norm -> conv detour -> MLP -> residual.
-
-    Known structural consequence: the conv detour only writes patch-token
-    slots, so in the final block its parameters cannot reach a
-    class-token-only head (they do under mean pooling).
-    """
+    """norm -> attention -> residual, then norm -> conv detour -> MLP -> residual."""
     a = attention(nn.layer_norm(x, bp.ln1), bp.attn, cfg)
     x = T.add(x, a)
     b = nn.layer_norm(x, bp.ln2)
@@ -453,6 +458,19 @@ def ct_block(x: Tensor, bp: BlockParams, cfg: ModelConfig) -> Tensor:
         b = rrcv_forward(b, bp.rrcv, cfg)
     b = mlp_forward(b, bp.mlp)
     return T.add(x, b)
+
+
+def cls_readout(x: Tensor, bp: BlockParams, cfg: ModelConfig) -> Tensor:
+    """The class-token row [B, 1, D] of ct_block(x, bp, cfg).
+
+    K and V (with the fusion stage and the token-axis reduce) still see
+    every token; the query, softmax row, output projection, residuals, ln2
+    and MLP run for the class row alone. The conv detour is skipped: it
+    passes the class token through untouched.
+    """
+    a = attention(nn.layer_norm(x, bp.ln1), bp.attn, cfg, query_rows=1)
+    x = T.add(T.slice_(x, (slice(None), slice(0, 1))), a)
+    return T.add(x, mlp_forward(nn.layer_norm(x, bp.ln2), bp.mlp))
 
 
 # --------------------------------------------------------------------------
@@ -527,20 +545,30 @@ def model_init(cfg: ModelConfig, seed: int = 0, dtype: str = "f32") -> CtaNet:
 
 
 def model_forward(img: Tensor, net: CtaNet) -> Tensor:
-    """Image batch [B, 3, H, W] to logits [B, num_classes]."""
+    """Image batch [B, 3, H, W] to logits [B, num_classes].
+
+    With a class-token head the last block runs as `cls_readout`, which
+    computes only the class row the head reads; the logits match the full
+    block up to GEMM round-off. Known structural consequence: the conv
+    detour only writes patch-token slots, so the final block's detour
+    parameters cannot reach the head and get no gradient (`None`); under
+    mean pooling every block runs in full and they do. `costs.count_costs`
+    still counts the full final block, as the paper's FLOP figure does.
+    """
     cfg = net.config
     B, C, H, W = img.shape
     if C != 3 or H != cfg.image_size or W != cfg.image_size:
         raise ShapeError(f"expected [B, 3, {cfg.image_size}, {cfg.image_size}], got {list(img.shape)}")
     t = patch_embed(img, net.patch_proj, net.pos_embed, net.cls_token, cfg.patch_size)
-    for bp in net.blocks:
+    if not cfg.use_class_token:
+        for bp in net.blocks:
+            t = ct_block(t, bp, cfg)
+        return nn.linear(T.reduce_mean(nn.layer_norm(t, net.final_norm), axis=1), net.head)
+    *body, last = net.blocks
+    for bp in body:
         t = ct_block(t, bp, cfg)
-    t = nn.layer_norm(t, net.final_norm)
-    if cfg.use_class_token:
-        feat = T.reshape(T.slice_(t, (slice(None), 0)), [B, cfg.embed_dim])
-    else:
-        feat = T.reduce_mean(t, axis=1)
-    return nn.linear(feat, net.head)
+    feat = nn.layer_norm(cls_readout(t, last, cfg), net.final_norm)
+    return nn.linear(T.reshape(feat, [B, cfg.embed_dim]), net.head)
 
 
 def baseline_twin(cfg: ModelConfig) -> ModelConfig:

@@ -135,6 +135,8 @@ def train_epoch(net: CtaNet, ds: D.Dataset, state: OptimizerState, cfg: TrainCon
                 epoch: int, aug: Optional[D.AugmentFlags] = None,
                 target_size: Optional[int] = None):
     """One pass over ds; returns (mean loss, top1, steps)."""
+    if len(ds) == 0:
+        raise DataError("cannot train on an empty split")
     target = target_size or net.config.image_size
     params = net.named_parameters()
     steps = math.ceil(len(ds) / cfg.batch_size)
@@ -286,19 +288,27 @@ def load_checkpoint(path: str):
         src = tensors[name]
         if src.shape != p.shape:
             raise DataError(f"{path}: shape mismatch for {name}: {src.shape} vs {p.shape}")
+        if src.dtype != dtype:
+            raise DataError(f"{path}: {name} is {src.dtype}, the first parameter is {dtype}")
         p.data = src.data
     state = None
     if has_opt:
         (step,) = struct.unpack("<Q", rd.take(8))
         m, v = {}, {}
         for name, p in named:
-            m[name], v[name] = rd.tensor().data, rd.tensor().data
-            if m[name].shape != p.shape or v[name].shape != p.shape:
+            mt, vt = rd.tensor(), rd.tensor()
+            if mt.shape != p.shape or vt.shape != p.shape:
                 raise DataError(f"{path}: optimizer moment shape mismatch for {name}: "
-                                f"{m[name].shape}/{v[name].shape} vs {p.shape}")
+                                f"{mt.shape}/{vt.shape} vs {p.shape}")
+            if mt.dtype != dtype or vt.dtype != dtype:
+                raise DataError(f"{path}: optimizer moments for {name} are {mt.dtype}/{vt.dtype}, "
+                                f"the parameters are {dtype}")
+            m[name], v[name] = mt.data, vt.data
         state = OptimizerState(m=m, v=v, step=int(step))
     (epoch,) = struct.unpack("<I", rd.take(4))
     (seed,) = struct.unpack("<Q", rd.take(8))
+    if rd.off != len(rd.buf):
+        raise DataError(f"{path}: {len(rd.buf) - rd.off} unexpected bytes after the seed field")
     return net, state, epoch, seed
 
 

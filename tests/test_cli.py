@@ -159,11 +159,30 @@ class TestTrainEval:
                         "--out-dir", str(tmp_path / "runs")])
         assert code == 3
 
+    def test_empty_training_split_exits_3(self, tmp_path, capsys):
+        base = tmp_path / "cifar-10-batches-bin"
+        base.mkdir()
+        for i in range(1, 6):
+            (base / f"data_batch_{i}.bin").write_bytes(b"")
+        records = np.zeros((20, 3073), dtype=np.uint8)
+        records[:, 0] = np.arange(20) % 10
+        (base / "test_batch.bin").write_bytes(records.tobytes())
+        code = run_cli(["train", "--preset", "tiny", *MICRO,
+                        "--set", "data.kind=cifar10", "--set", f"data.root={tmp_path}",
+                        "--out-dir", str(tmp_path / "runs")])
+        assert code == 3
+        assert "empty split" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt", ["non_utf8_config", "malformed_json", "unknown_key",
-                                         "missing_key", "bad_dtype_tag", "bad_rank"])
+                                         "missing_key", "bad_dtype_tag", "bad_rank",
+                                         "mixed_dtype", "trailing_bytes"])
     def test_malformed_checkpoint_exits_3(self, tmp_path, capsys, corrupt):
         path = str(tmp_path / "net.ckpt")
-        save_checkpoint(path, model_init(tiny_config(depth=1), seed=0))
+        net = model_init(tiny_config(depth=1), seed=0)
+        if corrupt == "mixed_dtype":
+            fc1 = net.blocks[0].mlp.fc1.weight
+            fc1.data = fc1.data.astype(np.float64)
+        save_checkpoint(path, net)
         blob = open(path, "rb").read()
         (n,) = struct.unpack_from("<I", blob, 8)
         head, cfg, rest = blob[:8], blob[12:12 + n], bytearray(blob[12 + n:])
@@ -176,7 +195,10 @@ class TestTrainEval:
             cfg = json.dumps(dict(cfg_d, bogus=1)).encode()
         elif corrupt == "missing_key":
             cfg = json.dumps({k: v for k, v in cfg_d.items() if k != "kernel_scales"}).encode()
-        else:  # header of the first tensor: after has_opt, count, name blob, blob length
+        elif corrupt == "trailing_bytes":
+            rest += bytes(7)
+        elif corrupt != "mixed_dtype":
+            # header of the first tensor: after has_opt, count, name blob, blob length
             (name_len,) = struct.unpack_from("<I", rest, 5)
             tag = 5 + 4 + name_len + 4
             if corrupt == "bad_dtype_tag":

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import naive_conv2d, random_valid_config, reconstruct_oracle, textbook_attention
+from ctanet import model as M
 from ctanet import nn
 from ctanet import tensor as T
 from ctanet.errors import ConfigError, ShapeError
-from ctanet.model import (ModelConfig, baseline_twin, ct_block,
+from ctanet.model import (ModelConfig, attention, baseline_twin, ct_block,
                           fuse_tokens, lmf_mhsa, mhsa, model_forward, model_init,
                           multi_scale_fuse, patch_embed, patchify_map, reconstruct,
                           reverse_embed, rrcv_forward, tiny_config)
@@ -416,3 +417,63 @@ class TestBlockAndModel:
         twin = baseline_twin(tiny_config())
         assert (twin.embed_dim, twin.attention_kind, twin.rrcv_variant,
                 twin.kernel_scales, twin.kv_reduction) == (128, "mhsa", "none", (), 1)
+
+
+def full_composition(img, net):
+    """Every block in full, final norm on every token, then the class row."""
+    cfg = net.config
+    t = patch_embed(img, net.patch_proj, net.pos_embed, net.cls_token, cfg.patch_size)
+    for bp in net.blocks:
+        t = ct_block(t, bp, cfg)
+    t = nn.layer_norm(t, net.final_norm)
+    return nn.linear(T.reshape(T.slice_(t, (slice(None), 0)), [img.shape[0], cfg.embed_dim]),
+                     net.head)
+
+
+class TestClassReadout:
+    @pytest.mark.parametrize("kind", ["mhsa", "lmf_mhsa"])
+    def test_query_rows_are_leading_rows_of_full_attention(self, kind):
+        cfg = tiny_config(attention_kind=kind, depth=1)
+        net = model_init(cfg, seed=21, dtype="f64")
+        x = T.uniform([2, 65, 64], -1, 1, seed=30, dtype="f64")
+        full = attention(x, net.blocks[0].attn, cfg).data
+        for rows in (1, 3):
+            part = attention(x, net.blocks[0].attn, cfg, query_rows=rows).data
+            assert part.shape == (2, rows, 64)
+            assert np.abs(part - full[:, :rows]).max() <= 1e-12 * np.abs(full).max()
+
+    @pytest.mark.parametrize("kind", ["mhsa", "lmf_mhsa"])
+    def test_logits_and_gradients_match_full_composition(self, kind):
+        cfg = tiny_config(attention_kind=kind, depth=2)
+        net = model_init(cfg, seed=22, dtype="f64")
+        img = T.uniform([3, 3, 32, 32], 0, 1, seed=31, dtype="f64")
+        labels = np.array([2, 5, 9])
+        runs = []
+        for forward in (model_forward, full_composition):
+            T.zero_grads(net.parameters())
+            logits = forward(img, net)
+            T.backward(nn.cross_entropy(logits, labels))
+            runs.append((logits.data, [np.zeros_like(p.data) if p.grad is None else p.grad
+                                       for p in net.parameters()]))
+        (logits, grads), (ref_logits, ref_grads) = runs
+        assert np.abs(logits - ref_logits).max() <= 1e-12 * np.abs(ref_logits).max()
+        # relative to the whole gradient's scale: under mhsa the K bias
+        # gradient is zero in exact arithmetic (softmax is shift invariant),
+        # so its own scale is round-off
+        scale = max(np.abs(g).max() for g in ref_grads)
+        for (name, _), g, ref in zip(net.named_parameters(), grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("use_cls", [True, False])
+    def test_last_detour_is_skipped_only_with_a_class_token(self, monkeypatch, use_cls):
+        count = [0]
+        real = M.rrcv_forward
+
+        def counted(*args):
+            count[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(M, "rrcv_forward", counted)
+        cfg = tiny_config(use_class_token=use_cls)
+        model_forward(T.uniform([1, 3, 32, 32], seed=32), model_init(cfg, seed=23))
+        assert count[0] == cfg.depth - (1 if use_cls else 0)

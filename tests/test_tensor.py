@@ -244,7 +244,11 @@ class TestMutationRule:
                 stack.extend(node._parents)
         before = [n.data.tobytes() for n in nodes]
         T.backward(loss)
-        assert all(n.grad is not None for n in net.parameters())
+        # the final block's conv detour cannot reach a class-token head
+        # (see test_model.py::test_no_dead_parameters)
+        last_detour = f"blocks.{cfg.depth - 1}.rrcv."
+        assert all(p.grad is not None for name, p in net.named_parameters()
+                   if not name.startswith(last_detour))
         assert [n.data.tobytes() for n in nodes] == before
 
     def test_shared_upstream_gradient_is_not_written_through(self):
