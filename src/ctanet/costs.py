@@ -80,18 +80,6 @@ def conv_macs(out_elems: int, in_ch: int, k: int, groups: int = 1) -> int:
     return out_elems * (in_ch // groups) * k * k
 
 
-def separable_pair_params(channels: int, out_channels: int, k: int, bias: bool = False) -> int:
-    """Weights of a depthwise(k x k) + pointwise(1 x 1) pair.
-
-    channels * k^2 for the depthwise step plus channels * out_channels for
-    the pointwise mixer; biases add channels + out_channels when enabled.
-    """
-    n = channels * k * k + channels * out_channels
-    if bias:
-        n += channels + out_channels
-    return n
-
-
 def count_costs(cfg: ModelConfig, batch: int = 1) -> CostReport:
     """Per-layer parameters and MACs for one forward pass at `batch`."""
     cfg.validate()

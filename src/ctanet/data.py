@@ -298,10 +298,6 @@ def resize_array(images: np.ndarray, target: int) -> np.ndarray:
     return out.astype(images.dtype)
 
 
-def resize(batch: ImageBatch, target: int) -> ImageBatch:
-    return ImageBatch(Tensor(resize_array(batch.images.numpy(), target)), batch.labels)
-
-
 def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: Optional[int] = None) -> Iterator[ImageBatch]:
     """Batches in a seed-deterministic order; the final short batch is kept."""
     n = len(ds)

@@ -305,19 +305,12 @@ def _split_cls(x: Tensor, has_cls: bool):
     return cls, rest
 
 
-def _grid_side(N: int) -> int:
-    g = int(round(math.sqrt(N)))
-    if g * g != N:
-        raise ShapeError(f"patch-token count {N} is not a perfect square")
-    return g
-
-
 def reverse_embed(x: Tensor, re: LinearParams, cfg: ModelConfig) -> Tensor:
     """Tokens back to a channels-last map [B, H, W, C]: drop cls, per-token
     linear to a channel-major C*p*p patch, tile the row-major grid."""
     _, pt = _split_cls(x, cfg.use_class_token)
-    B, N, _ = pt.shape
-    g, p, C = _grid_side(N), cfg.patch_size, cfg.rrcv_width
+    B = pt.shape[0]
+    g, p, C = cfg.grid, cfg.patch_size, cfg.rrcv_width
     y = T.reshape(nn.linear(pt, re), [B, g, g, C, p, p])
     y = T.permute(y, (0, 1, 4, 2, 5, 3))        # [B, g, p, g, p, C]
     return T.reshape(y, [B, g * p, g * p, C])
@@ -336,44 +329,39 @@ def multi_scale_fuse(x: Tensor, fp: FusionParams) -> Tensor:
     return nn.pointwise_nhwc([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
 
 
-def _attention_core(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool,
-                    query_rows: Optional[int] = None):
-    """Attention of the first `query_rows` tokens (all when None) over the
-    whole sequence: K and V always cover every token."""
+def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = False,
+         query_rows: Optional[int] = None):
+    """Multi-head self-attention of the first `query_rows` tokens (all when
+    None) over the whole sequence; the one attention core of both kinds.
+
+    K and V leave their projections as [B, D, S] with one permute each and
+    split D into heads as a view, [B, h, dk, S]; when `ap.k_reduce` is set
+    they are shortened there along the token axis. K is then the right
+    operand of the scores as it stands. Shortening after the head split
+    keeps V's gradient in head layout up to the reduce's backward, which
+    gathers it into a temporary rather than a buffer the tape holds.
+    """
     B, S, D = x.shape
     if D % heads:
         raise ConfigError(f"embed dim {D} not divisible by heads {heads}")
     dk = D // heads
     Sq = S if query_rows is None else query_rows
 
-    def to_heads(t, rows):
-        return T.permute(T.reshape(t, [B, rows, heads, dk]), (0, 2, 1, 3))
-
     xq = x if query_rows is None else T.slice_(x, (slice(None), slice(0, Sq)))
-    q = to_heads(nn.linear(xq, ap.q), Sq)
-    k = to_heads(nn.linear(x, ap.k), S)
-    v = to_heads(nn.linear(x, ap.v), S)
-
+    q = T.permute(T.reshape(nn.linear(xq, ap.q), [B, Sq, heads, dk]), (0, 2, 1, 3))
+    k = T.reshape(T.permute(nn.linear(x, ap.k), (0, 2, 1)), [B, heads, dk, S])
+    v = T.reshape(T.permute(nn.linear(x, ap.v), (0, 2, 1)), [B, heads, dk, S])
     if ap.k_reduce is not None:
-        def shorten(t, red):
-            flat = T.permute(t, (0, 1, 3, 2))        # [B, h, dk, S]
-            flat = nn.linear(flat, red)              # [B, h, dk, S_r]
-            return T.permute(flat, (0, 1, 3, 2))
-        k = shorten(k, ap.k_reduce)
-        v = shorten(v, ap.v_reduce)
+        k = nn.linear(k, ap.k_reduce)                     # [B, h, dk, S_r]
+        v = nn.linear(v, ap.v_reduce)
+    v = T.permute(v, (0, 1, 3, 2))
 
-    scores = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
+    scores = T.scale(T.matmul(q, k), 1.0 / math.sqrt(dk))
     weights = T.softmax(scores, axis=-1)
     ctx = T.matmul(weights, v)                        # [B, h, Sq, dk]
     ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), [B, Sq, D])
     y = nn.linear(ctx, ap.out)
     return (y, weights) if return_weights else y
-
-
-def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = False,
-         query_rows: Optional[int] = None):
-    """Standard multi-head self-attention (no fusion, full-length K/V)."""
-    return _attention_core(x, ap, heads, return_weights, query_rows)
 
 
 def fuse_tokens(x: Tensor, fusion: FusionParams, cfg: ModelConfig) -> Tensor:
@@ -382,25 +370,21 @@ def fuse_tokens(x: Tensor, fusion: FusionParams, cfg: ModelConfig) -> Tensor:
     bypasses untouched."""
     B, _, D = x.shape
     cls, pt = _split_cls(x, cfg.use_class_token)
-    N = pt.shape[1]
-    g = _grid_side(N)
-    pt = T.reshape(multi_scale_fuse(T.reshape(pt, [B, g, g, D]), fusion), [B, N, D])
+    g = cfg.grid
+    pt = T.reshape(multi_scale_fuse(T.reshape(pt, [B, g, g, D]), fusion), [B, g * g, D])
     return pt if cls is None else T.concat([cls, pt], axis=1)
 
 
 def lmf_mhsa(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False,
              query_rows: Optional[int] = None):
-    """Multi-scale-fused attention with token-axis-shortened K and V.
-
-    The class token skips the fusion stage; attention itself covers the
-    full sequence.
-    """
+    """The fusion stage when present (the class token skips it), then `mhsa`,
+    which shortens K and V along the token axis when `ap.k_reduce` is set."""
     S = x.shape[1]
     if cfg.kv_reduction > S:
         raise ConfigError(f"kv_reduction {cfg.kv_reduction} exceeds sequence length {S}")
     if ap.fusion is not None:
         x = fuse_tokens(x, ap.fusion, cfg)
-    return _attention_core(x, ap, cfg.heads, return_weights, query_rows)
+    return mhsa(x, ap, cfg.heads, return_weights, query_rows)
 
 
 def attention(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False,

@@ -111,36 +111,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, dtype={self.dtype}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
@@ -190,10 +160,6 @@ def ones(shape: Sequence[int], dtype: str = "f32", requires_grad: bool = False) 
     return Tensor(np.ones(_check_shape(shape), dtype=_np_dtype(dtype)), requires_grad=requires_grad)
 
 
-def full(shape: Sequence[int], value: float, dtype: str = "f32", requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(_check_shape(shape), value, dtype=_np_dtype(dtype)), requires_grad=requires_grad)
-
-
 # --------------------------------------------------------------------------
 # counter-based PRNG (splitmix64 finalizer over a 64-bit counter)
 # --------------------------------------------------------------------------
@@ -210,9 +176,9 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def random_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """``count`` raw 64-bit words of the stream for ``seed``, beginning at ``start``."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+def random_u64(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` raw 64-bit words of the stream for ``seed``."""
+    idx = np.arange(1, count + 1, dtype=np.uint64)
     return _mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _SM_GAMMA)
 
 
@@ -224,9 +190,9 @@ def fold_seed(seed: int, *indices: int) -> int:
     return int(z[0])
 
 
-def _uniform01(seed: int, count: int, start: int = 0) -> np.ndarray:
+def _uniform01(seed: int, count: int) -> np.ndarray:
     # 53 mantissa bits -> [0, 1)
-    return (random_u64(seed, count, start) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+    return (random_u64(seed, count) >> _U64(11)).astype(np.float64) * (2.0 ** -53)
 
 
 def uniform(shape: Sequence[int], low: float = 0.0, high: float = 1.0, *, seed: int = 0,
@@ -235,20 +201,6 @@ def uniform(shape: Sequence[int], low: float = 0.0, high: float = 1.0, *, seed: 
     n = int(np.prod(shape))
     u = low + (high - low) * _uniform01(seed, n)
     return Tensor(u.reshape(shape).astype(_np_dtype(dtype)), requires_grad=requires_grad)
-
-
-def normal(shape: Sequence[int], mean: float = 0.0, std: float = 1.0, *, seed: int = 0,
-           dtype: str = "f32", requires_grad: bool = False) -> Tensor:
-    """Gaussian samples via Box-Muller over the counter stream."""
-    shape = _check_shape(shape)
-    n = int(np.prod(shape))
-    half = (n + 1) // 2
-    u1 = (random_u64(seed, half, 0).astype(np.float64) + 1.0) * (2.0 ** -64)  # (0, 1]
-    u2 = _uniform01(seed, half, half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * math.pi * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return Tensor((mean + std * z).reshape(shape).astype(_np_dtype(dtype)), requires_grad=requires_grad)
 
 
 # --------------------------------------------------------------------------
@@ -701,10 +653,6 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # --------------------------------------------------------------------------
 # verification utilities
 # --------------------------------------------------------------------------
-
-def has_nonfinite(t: Tensor) -> bool:
-    return not bool(np.isfinite(t.data).all())
-
 
 def check_finite_graph(out: Tensor) -> None:
     """Walk the recorded graph; raise naming the first op with non-finite values."""

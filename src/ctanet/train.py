@@ -243,11 +243,15 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise DataError(f"{self.path}: text before byte {self.off} is not UTF-8: {exc}") from None
 
-    def tensor(self) -> Tensor:
+    def tensor(self, name: str) -> Tensor:
+        blob = self.blob()
         try:
-            return T.tensor_from_bytes(self.blob())[0]
+            t, end = T.tensor_from_bytes(blob)
         except ContractError as exc:
-            raise DataError(f"{self.path}: malformed tensor before byte {self.off}: {exc}") from None
+            raise DataError(f"{self.path}: malformed tensor {name!r} before byte {self.off}: {exc}") from None
+        if end != len(blob):
+            raise DataError(f"{self.path}: tensor {name!r} blob has {len(blob) - end} trailing bytes")
+        return t
 
 
 def load_checkpoint(path: str):
@@ -277,7 +281,7 @@ def load_checkpoint(path: str):
     order = []
     for _ in range(count):
         name = rd.text()
-        tensors[name] = rd.tensor()
+        tensors[name] = rd.tensor(name)
         order.append(name)
     dtype = tensors[order[0]].dtype if order else "f32"
     net = model_init(cfg, seed=0, dtype=dtype)
@@ -296,7 +300,7 @@ def load_checkpoint(path: str):
         (step,) = struct.unpack("<Q", rd.take(8))
         m, v = {}, {}
         for name, p in named:
-            mt, vt = rd.tensor(), rd.tensor()
+            mt, vt = rd.tensor(f"{name} first moment"), rd.tensor(f"{name} second moment")
             if mt.shape != p.shape or vt.shape != p.shape:
                 raise DataError(f"{path}: optimizer moment shape mismatch for {name}: "
                                 f"{mt.shape}/{vt.shape} vs {p.shape}")

@@ -36,16 +36,25 @@ def naive_conv2d(x, w, b, stride=1, pad=0, groups=1):
     return out
 
 
-def textbook_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
-    """Reference multi-head self-attention from plain numpy matmul/softmax."""
+def textbook_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, kv_reduce=None):
+    """Reference multi-head self-attention from plain numpy matmul/softmax.
+
+    kv_reduce = (wk_r, bk_r, wv_r, bv_r) first shortens K and V along the
+    token axis: the projection y [B, T, D] becomes (y^T @ W_r^T + b_r)^T,
+    where y^T is [B, D, T], so each keeps D and has W_r's row count of tokens.
+    """
     B, T, D = x.shape
     dk = D // heads
 
-    def proj(w, b):
+    def proj(w, b, reduce=None):
         y = x @ w.T + b
-        return y.reshape(B, T, heads, dk).transpose(0, 2, 1, 3)
+        if reduce is not None:
+            wr, br = reduce
+            y = (y.transpose(0, 2, 1) @ wr.T + br).transpose(0, 2, 1)
+        return y.reshape(B, -1, heads, dk).transpose(0, 2, 1, 3)
 
-    q, k, v = proj(wq, bq), proj(wk, bk), proj(wv, bv)
+    kr, vr = (None, None) if kv_reduce is None else (kv_reduce[:2], kv_reduce[2:])
+    q, k, v = proj(wq, bq), proj(wk, bk, kr), proj(wv, bv, vr)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)

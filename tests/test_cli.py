@@ -175,7 +175,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("corrupt", ["non_utf8_config", "malformed_json", "unknown_key",
                                          "missing_key", "bad_dtype_tag", "bad_rank",
-                                         "mixed_dtype", "trailing_bytes"])
+                                         "mixed_dtype", "trailing_bytes", "tensor_trailing_bytes"])
     def test_malformed_checkpoint_exits_3(self, tmp_path, capsys, corrupt):
         path = str(tmp_path / "net.ckpt")
         net = model_init(tiny_config(depth=1), seed=0)
@@ -203,8 +203,12 @@ class TestTrainEval:
             tag = 5 + 4 + name_len + 4
             if corrupt == "bad_dtype_tag":
                 rest[tag] = 7
-            else:
+            elif corrupt == "bad_rank":
                 rest[tag + 1:tag + 5] = struct.pack("<I", 2 ** 31)
+            else:   # 3 zero bytes after the payload, inside the blob's length prefix
+                (size,) = struct.unpack_from("<I", rest, tag - 4)
+                rest[tag - 4:tag] = struct.pack("<I", size + 3)
+                rest[tag + size:tag + size] = bytes(3)
         open(path, "wb").write(head + struct.pack("<I", len(cfg)) + cfg + bytes(rest))
         assert run_cli(["eval", "--preset", "tiny", *MICRO, "--checkpoint", path]) == 3
         assert "data error" in capsys.readouterr().err

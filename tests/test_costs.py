@@ -5,8 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_valid_config
-from ctanet.costs import (compare_attention_costs, conv_macs, count_costs,
-                          count_params, emit_table, separable_pair_params)
+from ctanet.costs import compare_attention_costs, conv_macs, count_costs, count_params, emit_table
 from ctanet.errors import ConfigError
 from ctanet.model import ModelConfig, model_init, paper_config, tiny_config
 
@@ -28,10 +27,6 @@ class TestParamExactness:
             formula = count_params(cfg).total_params
             instance = model_init(cfg, seed=seed).param_count()
             assert formula == instance, (seed, cfg)
-
-    def test_separable_pair_formula(self):
-        assert separable_pair_params(3, 8, 3) == 51
-        assert separable_pair_params(3, 8, 3, bias=True) == 51 + 11
 
     def test_linear_param_arithmetic(self):
         from ctanet.costs import _linear_params

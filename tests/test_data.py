@@ -162,9 +162,9 @@ class TestAugment:
 
 class TestResizeAndBatching:
     def test_resize_same_size_identity(self):
-        b = D.ImageBatch(Tensor(T.uniform([2, 3, 32, 32], seed=6).numpy()), np.zeros(2, dtype=np.int64))
-        out = D.resize(b, 32)
-        assert out.images.data.tobytes() == b.images.data.tobytes()
+        batch = T.uniform([2, 3, 32, 32], seed=6).numpy()
+        out = D.resize_array(batch, 32)
+        assert out.tobytes() == batch.tobytes()
 
     def test_bilinear_hand_case(self):
         img = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)

@@ -281,6 +281,20 @@ class TestAttention:
                                   ap.out.weight.data, ap.out.bias.data, heads=2)
         assert np.abs(got - want).max() <= 1e-10
 
+    @pytest.mark.parametrize("query_rows", [None, 1])
+    @pytest.mark.parametrize("r", [2, 4, 7])
+    def test_shortened_kv_matches_oracle(self, r, query_rows):
+        cfg = tiny_config(kernel_scales=(), kv_reduction=r, depth=1)
+        net = model_init(cfg, seed=12, dtype="f64")
+        ap = net.blocks[0].attn
+        x = T.uniform([2, cfg.tokens, 64], -1, 1, seed=21, dtype="f64")
+        got = lmf_mhsa(x, ap, cfg, query_rows=query_rows).data
+        weights = [t.data for p in (ap.q, ap.k, ap.v, ap.out, ap.k_reduce, ap.v_reduce)
+                   for t in (p.weight, p.bias)]
+        want = textbook_attention(x.data, *weights[:8], heads=cfg.heads, kv_reduce=weights[8:])
+        assert got.shape == (2, query_rows or cfg.tokens, 64)
+        assert np.abs(got - want[:, :got.shape[1]]).max() <= 1e-12
+
     def test_mhsa_equals_lmf_with_shared_weights(self):
         cfg = tiny_config(kernel_scales=(), kv_reduction=1)
         net = model_init(cfg, seed=10, dtype="f64")

@@ -15,10 +15,6 @@ class TestConstruction:
         t = T.ones([2, 2], dtype="f64")
         assert t.data.tolist() == [[1, 1], [1, 1]]
 
-    def test_constant_fill(self):
-        t = T.full([3], 2.5, dtype="f64")
-        assert t.data.tolist() == [2.5, 2.5, 2.5]
-
     def test_uniform_same_seed_bit_identical(self):
         a = T.uniform([4], 0, 1, seed=7, dtype="f64")
         b = T.uniform([4], 0, 1, seed=7, dtype="f64")
@@ -41,11 +37,6 @@ class TestConstruction:
                            rtol=0, atol=1e-14)
         assert T.fold_seed(7, 1) != T.fold_seed(7, 2)
         assert T.fold_seed(7, 1) == T.fold_seed(7, 1)
-
-    def test_normal_moments(self):
-        z = T.normal([20000], 1.0, 2.0, seed=3, dtype="f64")
-        assert abs(z.data.mean() - 1.0) < 0.05
-        assert abs(z.data.std() - 2.0) < 0.05
 
     def test_zero_extent_rejected(self):
         with pytest.raises(ShapeError):
@@ -83,8 +74,6 @@ class TestElementwise:
     def test_div_by_zero_propagates_ieee(self):
         out = T.div(Tensor([1.0, -1.0, 0.0]), Tensor([0.0, 0.0, 0.0]))
         assert np.isinf(out.data[0]) and np.isinf(out.data[1]) and np.isnan(out.data[2])
-        assert T.has_nonfinite(out)
-        assert not T.has_nonfinite(Tensor([1.0]))
 
     def test_dtype_mismatch_rejected(self):
         with pytest.raises(ShapeError):
