@@ -12,6 +12,13 @@ Design points, fixed for the whole package:
 - The tape is implicit: each non-leaf tensor keeps its parents and a
   closure that scatters the incoming gradient to them. ``backward`` does
   an iterative topological walk (no recursion limit issues on deep nets).
+- The tape is released as the sweep goes. Its peak is at the start of
+  ``backward``: every recorded value and every buffer a closure saved.
+  A node's consumers all run before it, so once its own closure has run
+  it drops its gradient, closure and parent links, and its value and
+  saved buffers are freed. Mid-sweep the tape holds the nodes not yet
+  swept, the gradients waiting at the sweep's frontier and the leaves'
+  gradients.
 - f64 is the verification dtype, f32 the training dtype. Binary ops
   require matching dtypes; Python scalars adopt the tensor's dtype.
 - Random content comes from an own counter-based 64-bit generator
@@ -607,7 +614,11 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Gradients accumulate additively into every ``requires_grad`` leaf.
-    A graph can be swept once; intermediate grads and closures are freed.
+    Nodes are popped off the topological order, and each interior node
+    drops its grad, closure and parents right after its own closure runs,
+    so the tape shrinks from its peak at the start of the sweep (every
+    recorded value and saved buffer) as the sweep goes. A graph can be
+    swept once, and a sweep that raised cannot be retried.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {list(loss.shape)}")
@@ -632,17 +643,20 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
+    # Marked first: after a closure raises, some leaves already hold their
+    # share and the graph is partly released, so a retry must not sweep.
+    loss._backward_done = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
-    # Leaves keep their grads; interior nodes release buffers and closures.
-    for node in topo:
+        # Leaves keep their grads. An interior node is done once its own
+        # closure has run, since all its consumers ran before it.
         if node._parents:
             node.grad = None
             node._backward_fn = None
             node._parents = ()
-    loss._backward_done = True
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

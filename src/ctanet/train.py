@@ -7,6 +7,7 @@ state, so a resumed run retraces the uninterrupted one exactly.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -113,6 +114,40 @@ def lr_at(epoch_frac: float, cfg: TrainConfig) -> float:
     span = cfg.epochs - cfg.warmup_epochs
     progress = min(1.0, (epoch_frac - cfg.warmup_epochs) / span)
     return 0.5 * cfg.lr * (1.0 + math.cos(math.pi * progress))
+
+
+# --------------------------------------------------------------------------
+# heap policy
+# --------------------------------------------------------------------------
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
+TOP_PAD_BYTES = 256 << 20
+MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def set_heap_policy() -> bool:
+    """Keep freed heap pages in the process across training steps.
+
+    A step frees and reallocates its whole tape. By default glibc trims the
+    heap top back to the kernel, and serves large buffers with a fresh mmap
+    each, so every step faults its pages in again. A 256 MiB top pad keeps
+    the freed pages. Setting it also freezes glibc's dynamic mmap threshold
+    wherever it happens to be, so the threshold is set explicitly to its
+    64-bit maximum, 32 MiB: buffers below it come from the heap. Returns
+    whether both settings were accepted; does nothing where the C library
+    has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    top = mallopt(_M_TOP_PAD, TOP_PAD_BYTES)
+    mmap = mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    return top == 1 and mmap == 1
 
 
 # --------------------------------------------------------------------------
@@ -331,6 +366,7 @@ def train_run(net: CtaNet, state: OptimizerState, cfg: TrainConfig,
     horizon; resuming from the written checkpoint continues it exactly.
     """
     cfg.validate()
+    set_heap_policy()
     rows = []
     metrics_path = os.path.join(out_dir, "metrics.csv") if out_dir else None
     if metrics_path and start_epoch == 0:

@@ -1,8 +1,11 @@
 """Tensor value semantics, broadcasting, autodiff, PRNG, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ctanet import nn
 from ctanet import tensor as T
 from ctanet.errors import ContractError, NumericsError, ShapeError
 from ctanet.model import model_forward, model_init, tiny_config
@@ -205,6 +208,26 @@ class TestBackward:
         assert not y.requires_grad and y._parents == ()
 
 
+def _tape(loss):
+    """Every node reachable from ``loss``, loss first."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _tiny_loss(dtype, batch, depth=1):
+    cfg = tiny_config(depth=depth)
+    net = model_init(cfg, seed=3, dtype=dtype)
+    img = T.uniform([batch, 3, cfg.image_size, cfg.image_size], seed=4, dtype=dtype)
+    labels = np.arange(batch) % cfg.num_classes
+    return net, cross_entropy(model_forward(img, net), labels)
+
+
 class TestMutationRule:
     """Tape values are never mutated: shape ops return views, and a gradient
     shared by several tensors is never written in place."""
@@ -224,13 +247,7 @@ class TestMutationRule:
         net = model_init(cfg, seed=3, dtype="f64")
         img = T.uniform([2, 3, cfg.image_size, cfg.image_size], seed=4, dtype="f64")
         loss = cross_entropy(model_forward(img, net), np.array([1, 5]))
-        nodes, stack, seen = [], [loss], set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                nodes.append(node)
-                stack.extend(node._parents)
+        nodes = _tape(loss)
         before = [n.data.tobytes() for n in nodes]
         T.backward(loss)
         # the final block's conv detour cannot reach a class-token head
@@ -256,6 +273,78 @@ class TestMutationRule:
         T.backward(T.reduce_sum(T.slice_(x, (slice(None), slice(1, 3)))))
         assert x.grad.tolist() == [[2.0, 3.0, 3.0], [2.0, 3.0, 3.0]]
         assert other.grad.tolist() == [[2.0] * 3] * 2
+
+
+class TestTapeRelease:
+    """``backward`` releases each interior node right after its own closure
+    runs, and a sweep, finished or failed, is final."""
+
+    def test_swept_nodes_hold_nothing_when_the_next_closure_runs(self):
+        net, loss = _tiny_loss("f64", batch=2)
+        interior = [n for n in _tape(loss) if n._parents]
+        swept, stale = [], []
+
+        def watch(node, fn):
+            def run(g):
+                stale.extend(d._op for d in swept
+                             if d.grad is not None or d._backward_fn is not None or d._parents)
+                fn(g)
+                swept.append(node)
+            return run
+
+        for node in interior:
+            node._backward_fn = watch(node, node._backward_fn)
+        T.backward(loss)
+        assert len(swept) == len(interior)
+        assert stale == []
+        assert all(n.grad is None and n._backward_fn is None and n._parents == () for n in swept)
+        last_detour = f"blocks.{net.config.depth - 1}.rrcv."
+        assert all(p.grad is not None for name, p in net.named_parameters()
+                   if not name.startswith(last_detour))
+
+    def test_sweep_peak_stays_near_its_start(self):
+        # Beyond what the tape holds when the sweep starts, a released sweep
+        # adds the leaves' gradients (the parameters' bytes), the gradients
+        # at its frontier (a residual stream and one branch) and one
+        # closure's temporaries (at most two values' worth): four of the
+        # largest tape values bound the last two. Keeping every interior
+        # gradient to the end adds about one more tape, ~5x this bound.
+        tracemalloc.start()
+        try:
+            net, loss = _tiny_loss("f32", batch=8, depth=tiny_config().depth)
+            tape = _tape(loss)
+            largest = max(n.data.nbytes for n in tape if n._parents)
+            del tape
+            bound = sum(p.data.nbytes for p in net.parameters()) + 4 * largest
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= bound, (peak - start, bound)
+
+    def test_failed_sweep_cannot_be_retried(self, monkeypatch):
+        real = nn.gelu
+
+        def sabotaged(x):
+            out = real(x)
+
+            def broken(g):
+                raise FloatingPointError("closure failed")
+            out._backward_fn = broken
+            return out
+
+        monkeypatch.setattr(nn, "gelu", sabotaged)
+        net, loss = _tiny_loss("f64", batch=2)
+        with pytest.raises(FloatingPointError):
+            T.backward(loss)
+        partial = {name: p.grad.copy() for name, p in net.named_parameters() if p.grad is not None}
+        assert partial  # the head's gradients landed before the MLP's gelu failed
+        with pytest.raises(ContractError, match="twice"):
+            T.backward(loss)
+        params = dict(net.named_parameters())
+        assert all(np.array_equal(params[name].grad, g) for name, g in partial.items())
 
 
 class TestGradCheck:

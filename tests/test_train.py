@@ -1,12 +1,17 @@
 """Optimizer arithmetic, schedule, metrics, determinism, checkpoints."""
 
+import ctypes
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from ctanet import tensor as T
+from ctanet import train as TR
 from ctanet.data import Dataset, DatasetSpec, load_dataset
 from ctanet.errors import ConfigError, DataError
 from ctanet.model import model_forward, model_init, tiny_config
@@ -233,6 +238,60 @@ class TestCheckpoints:
         row = lines[1].split(",")
         assert len(row) == 6
         assert 0.0 <= float(row[2]) <= 1.0 and 0.0 <= float(row[4]) <= 1.0
+
+
+class TestHeapPolicy:
+    def test_noop_without_a_loadable_libc(self, monkeypatch):
+        def refuse(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert TR.set_heap_policy() is False
+
+    def test_noop_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert TR.set_heap_policy() is False
+
+    def test_train_run_sets_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(TR, "set_heap_policy", lambda: calls.append(1))
+        cfg, net, ds = micro_setup(seed=2, dtype="f32", depth=1, synth=16)
+        train_run(net, OptimizerState.for_model(net),
+                  TrainConfig(epochs=1, warmup_epochs=0, batch_size=16, seed=2), ds, None)
+        assert calls == [1]
+
+    def test_import_never_calls_mallopt(self):
+        # Records every mallopt looked up on a C library, as (param, value)
+        # pairs once called; the explicit call at the end proves the
+        # recorder sees the policy.
+        script = textwrap.dedent("""
+            import ctypes
+            calls = []
+
+            class Recorder(ctypes.CDLL):
+                def __getitem__(self, name):
+                    if name != "mallopt":
+                        return super().__getitem__(name)
+                    calls.append("lookup")
+
+                    class Mallopt:
+                        def __call__(self, param, value):
+                            calls.append((param, value))
+                            return 1
+                    return Mallopt()
+
+            ctypes.CDLL = Recorder
+            import ctanet, ctanet.train, ctanet.cli
+            print(len(calls))
+            ctanet.train.set_heap_policy()
+            print(calls)
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout.splitlines()
+        assert out[0] == "0"
+        assert out[1] == str(["lookup", (-2, TR.TOP_PAD_BYTES), (-3, TR.MMAP_THRESHOLD_BYTES)])
 
 
 class TestIntegration:
