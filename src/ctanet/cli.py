@@ -21,7 +21,7 @@ from . import data as D
 from . import gradcheck as G
 from . import train as TR
 from .errors import ConfigError, DataError, NumericsError
-from .model import model_init
+from .model import ATTENTION_KINDS, RRCV_VARIANTS, model_init
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,20 +29,27 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+# shortcut flag -> (config keys it sets, argparse options); applied after --set
+_SHORTCUTS = {
+    "--seed": (("train.seed", "data.seed"), dict(type=int)),
+    "--dtype": (("train.dtype",), dict(choices=("f32", "f64"))),
+    "--attention": (("model.attention_kind",), dict(choices=ATTENTION_KINDS)),
+    "--rrcv": (("model.rrcv_variant",), dict(choices=RRCV_VARIANTS)),
+    "--scales": (("model.kernel_scales",), dict(metavar="1,3,5|none")),
+    "--subset": (("data.subset",), dict(type=int)),
+    "--epochs": (("train.epochs",), dict(type=int)),
+    "--batch-size": (("train.batch_size",), dict(type=int)),
+}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--preset", choices=("tiny", "paper"), default="tiny")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a single config key (repeatable)")
-    sub.add_argument("--seed", type=int, help="sets train.seed and data.seed")
-    sub.add_argument("--dtype", choices=("f32", "f64"))
     sub.add_argument("--out-dir", default="runs")
-    sub.add_argument("--attention", choices=("mhsa", "lmf_mhsa"))
-    sub.add_argument("--rrcv", choices=("none", "cnn", "dwconv", "resnet"))
-    sub.add_argument("--scales", help="kernel scales, e.g. 1,3,5 or none")
-    sub.add_argument("--subset", type=int, help="stratified training subset size")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", type=int)
+    for flag, (keys, opts) in _SHORTCUTS.items():
+        sub.add_argument(flag, help="sets " + " and ".join(keys), **opts)
 
 
 def apply_flag_overrides(run: C.RunConfig, args) -> None:
@@ -51,23 +58,11 @@ def apply_flag_overrides(run: C.RunConfig, args) -> None:
             raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")
         key, value = kv.split("=", 1)
         C.set_key(run, key.strip(), value.strip())
-    if args.attention:
-        run.model.attention_kind = args.attention
-    if args.rrcv:
-        run.model.rrcv_variant = args.rrcv
-    if args.scales is not None:
-        C.set_key(run, "model.kernel_scales", args.scales)
-    if args.subset is not None:
-        run.data.subset_size = args.subset
-    if args.epochs is not None:
-        run.train.epochs = args.epochs
-    if args.batch_size is not None:
-        run.train.batch_size = args.batch_size
-    if args.seed is not None:
-        run.train.seed = args.seed
-        run.data.seed = args.seed
-    if args.dtype:
-        run.train.dtype = args.dtype
+    for flag, (keys, _) in _SHORTCUTS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            for key in keys:
+                C.set_key(run, key, str(value))
 
 
 def build_run(args) -> C.RunConfig:
@@ -95,19 +90,11 @@ def _make_run_dir(base: str, run: C.RunConfig) -> str:
 
 def cmd_analyze(args) -> int:
     run = build_run(args)
-    cfg = run.model
-    from .model import baseline_twin
-    from dataclasses import replace
-
-    lmf_cfg = replace(cfg, attention_kind="lmf_mhsa", rrcv_variant="none").validate()
-    base_cfg = baseline_twin(cfg)
-    model_rep = costs.count_costs(cfg, batch=args.batch)
-    lmf_rep = costs.count_costs(lmf_cfg, batch=args.batch)
-    base_rep = costs.count_costs(base_cfg, batch=args.batch)
-
+    model_rep = costs.count_costs(run.model, batch=args.batch)
+    lmf_rep, base_rep = costs.attention_twins(run.model, batch=args.batch)
     print(costs.emit_table(model_rep))
     print(costs.emit_table(base_rep))
-    p_red, f_red = costs.compare_attention_costs(cfg, batch=args.batch)
+    p_red, f_red = costs.reductions(lmf_rep, base_rep)
     hc = costs.human_count
     print(f"attention comparison (conv detour off on both sides):")
     print(f"  params: {hc(base_rep.total_params)} -> {hc(lmf_rep.total_params)}"
@@ -190,7 +177,15 @@ def cmd_gradcheck(args) -> int:
 # ablate
 # --------------------------------------------------------------------------
 
-_GRID_AXES = ("attention", "rrcv", "scales", "batch", "depth", "heads")
+# ablation axis (grid.<axis> key, --grid-<axis> flag, summary column) -> config key
+_GRID_AXES = {
+    "attention": "model.attention_kind",
+    "rrcv": "model.rrcv_variant",
+    "scales": "model.kernel_scales",
+    "batch": "train.batch_size",
+    "depth": "model.depth",
+    "heads": "model.heads",
+}
 
 
 def _parse_grid(args):
@@ -226,18 +221,6 @@ def _parse_grid(args):
     return base_pairs, parsed
 
 
-def _apply_cell(run: C.RunConfig, axis: str, value: str) -> None:
-    key = {
-        "attention": "model.attention_kind",
-        "rrcv": "model.rrcv_variant",
-        "scales": "model.kernel_scales",
-        "batch": "train.batch_size",
-        "depth": "model.depth",
-        "heads": "model.heads",
-    }[axis]
-    C.set_key(run, key, value)
-
-
 def cmd_ablate(args) -> int:
     base_pairs, grid = _parse_grid(args)
     if not grid:
@@ -252,13 +235,13 @@ def cmd_ablate(args) -> int:
     out_root = os.path.join(args.out_dir, f"ablation-{stamp}")
     os.makedirs(out_root, exist_ok=True)
     summary_path = os.path.join(out_root, "summary.csv")
-    header = "cell,attention,rrcv,scales,batch,depth,heads,top1,params,flops,seconds"
+    header = ",".join(["cell", *_GRID_AXES, "top1", "params", "flops", "seconds"])
     lines = [header]
     print(header)
     for combo in itertools.product(*(grid[a] for a in axes)):
         run = copy.deepcopy(base)
         for axis, value in zip(axes, combo):
-            _apply_cell(run, axis, value)
+            C.set_key(run, _GRID_AXES[axis], value)
         run.validate()
         cell = C.config_hash(run)
         cell_dir = os.path.join(out_root, cell)
@@ -274,10 +257,9 @@ def cmd_ablate(args) -> int:
                             out_dir=cell_dir)
         secs = time.time() - t0
         rep = costs.count_costs(run.model)
-        scales_txt = "+".join(str(s) for s in run.model.kernel_scales) or "none"
-        row = (f"{cell},{run.model.attention_kind},{run.model.rrcv_variant},{scales_txt},"
-               f"{run.train.batch_size},{run.model.depth},{run.model.heads},"
-               f"{rows[-1].val_top1:.6f},{rep.total_params},{rep.total_flops},{secs:.3f}")
+        values = [C.format_value(C.get_key(run, key)).replace(",", "+") for key in _GRID_AXES.values()]
+        row = ",".join([cell, *values, f"{rows[-1].val_top1:.6f}", str(rep.total_params),
+                        str(rep.total_flops), f"{secs:.3f}"])
         lines.append(row)
         print(row)
     with open(summary_path, "w") as fh:
@@ -319,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ablate", help="cross-product config grid, one summary row per cell")
     _add_common(p)
-    for axis in _GRID_AXES:
-        p.add_argument(f"--grid-{axis}", help=f"comma (scales: semicolon) separated {axis} values")
+    for axis, key in _GRID_AXES.items():
+        p.add_argument(f"--grid-{axis}", help=f"comma (scales: semicolon) separated {key} values")
     p.set_defaults(func=cmd_ablate)
     return parser
 

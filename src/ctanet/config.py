@@ -4,12 +4,19 @@ A run is fully described by `model.*`, `train.*` and `data.*` keys. Every
 key has a default; unknown keys are rejected by name. Precedence is
 preset < config file < command-line overrides. The effective config can
 be echoed to text and re-parsed to reproduce the run exactly.
+
+The key table is derived from the dataclasses: every leaf field under
+`RunConfig` is one key, named by its attribute path and parsed by its
+type. Two keys are named unlike their attribute: `data.subset` sets
+`DatasetSpec.subset_size`, and `data.aug.*` sets `DatasetSpec.augment`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
+from typing import Optional, get_type_hints
 
 from .data import AugmentFlags, DatasetSpec
 from .errors import ConfigError
@@ -60,7 +67,7 @@ def _parse_scales(s: str) -> tuple:
     return tuple(int(x) for x in v.replace("+", ",").split(",") if x.strip())
 
 
-def _fmt(v) -> str:
+def format_value(v) -> str:
     if v is None:
         return "none"
     if isinstance(v, bool):
@@ -72,55 +79,33 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# key -> (section getter, attribute, parser)
-_KEYS = {}
+# attribute path -> file key, for the two keys not named after their attribute
+_ALIASES = {"data.subset_size": "data.subset", "data.augment": "data.aug"}
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool,
+            Optional[int]: _parse_opt_int, tuple: _parse_scales}
 
 
-def _register(section, prefix, fields):
-    for name, parser in fields:
-        _KEYS[f"{prefix}.{name}"] = (section, name, parser)
+def _walk(cls, path: str = "", key: str = ""):
+    """(key, (attribute names, parser)) for every leaf field under `cls`."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        sub, sub_key = path + f.name, _ALIASES.get(path + f.name, key + f.name)
+        if is_dataclass(hints[f.name]):
+            yield from _walk(hints[f.name], sub + ".", sub_key + ".")
+        else:
+            yield sub_key, (tuple(sub.split(".")), _PARSERS[hints[f.name]])
 
 
-_register(lambda r: r.model, "model", [
-    ("image_size", int), ("patch_size", int), ("embed_dim", int), ("depth", int),
-    ("heads", int), ("mlp_ratio", int), ("attention_kind", str), ("rrcv_variant", str),
-    ("kernel_scales", _parse_scales), ("kv_reduction", int), ("num_classes", int),
-    ("use_class_token", _parse_bool), ("rrcv_channels", _parse_opt_int),
-    ("baseline_dim", _parse_opt_int),
-])
-_register(lambda r: r.train, "train", [
-    ("epochs", int), ("batch_size", int), ("lr", float), ("beta1", float),
-    ("beta2", float), ("eps", float), ("weight_decay", float), ("warmup_epochs", int),
-    ("seed", int), ("dtype", str),
-])
-_register(lambda r: r.data, "data", [
-    ("kind", str), ("root", str), ("split", str), ("subset", _parse_opt_int),
-    ("val_subset", _parse_opt_int), ("target_size", int), ("seed", int),
-    ("synth_classes", int), ("synth_size", int),
-])
-_register(lambda r: r.data.augment, "data.aug", [
-    ("crop", _parse_bool), ("flip", _parse_bool), ("rotate", _parse_bool),
-    ("jitter", _parse_bool), ("rotate_deg", float), ("jitter_lo", float),
-    ("jitter_hi", float),
-])
-
-# the file key `data.subset` maps onto DatasetSpec.subset_size
-_ATTR_ALIASES = {("data", "subset"): "subset_size"}
-
-
-def _attr_for(key: str):
-    section, name, parser = _KEYS[key]
-    prefix = key.rsplit(".", 1)[0]
-    attr = _ATTR_ALIASES.get((prefix, name), name)
-    return section, attr, parser
+# key -> (attribute path from RunConfig, parser)
+_KEYS = dict(_walk(RunConfig))
 
 
 def set_key(run: RunConfig, key: str, value: str) -> None:
     if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    section, attr, parser = _attr_for(key)
+    path, parser = _KEYS[key]
     try:
-        setattr(section(run), attr, parser(value))
+        setattr(reduce(getattr, path[:-1], run), path[-1], parser(value))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -128,8 +113,7 @@ def set_key(run: RunConfig, key: str, value: str) -> None:
 
 
 def get_key(run: RunConfig, key: str):
-    section, attr, _ = _attr_for(key)
-    return getattr(section(run), attr)
+    return reduce(getattr, _KEYS[key][0], run)
 
 
 def all_keys():
@@ -138,7 +122,7 @@ def all_keys():
 
 def effective_text(run: RunConfig) -> str:
     """All keys as `key = value` lines; parsing this text recreates the run."""
-    return "".join(f"{k} = {_fmt(get_key(run, k))}\n" for k in all_keys())
+    return "".join(f"{k} = {format_value(get_key(run, k))}\n" for k in all_keys())
 
 
 def config_hash(run: RunConfig) -> str:

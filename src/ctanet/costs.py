@@ -147,19 +147,27 @@ def count_params(cfg: ModelConfig) -> CostReport:
     return count_costs(cfg, batch=1)
 
 
-def compare_attention_costs(cfg: ModelConfig, batch: int = 1):
-    """(param_reduction_pct, flop_reduction_pct) of the multi-scale reduced
-    attention model against its standard-attention reference.
+def attention_twins(cfg: ModelConfig, batch: int = 1):
+    """Cost reports of the multi-scale reduced attention twin of `cfg` and of
+    its standard-attention reference, at `batch`.
 
     Both sides run without the conv detour so the comparison isolates the
     attention mechanism. The reference width is cfg.baseline_dim (its own
     width when unset, which makes a plain self-comparison come out at ~0%).
     """
-    lmf_cfg = replace(cfg, attention_kind="lmf_mhsa", rrcv_variant="none").validate()
-    base_cfg = baseline_twin(cfg)
-    p_lmf, p_base = count_costs(lmf_cfg).total_params, count_costs(base_cfg).total_params
-    f_lmf, f_base = count_costs(lmf_cfg, batch).total_macs, count_costs(base_cfg, batch).total_macs
-    return (100.0 * (1.0 - p_lmf / p_base), 100.0 * (1.0 - f_lmf / f_base))
+    lmf_cfg = replace(cfg, attention_kind="lmf_mhsa", rrcv_variant="none")
+    return count_costs(lmf_cfg, batch), count_costs(baseline_twin(cfg), batch)
+
+
+def reductions(lmf_rep: CostReport, base_rep: CostReport):
+    """(param_reduction_pct, flop_reduction_pct) of one twin against the other."""
+    return (100.0 * (1.0 - lmf_rep.total_params / base_rep.total_params),
+            100.0 * (1.0 - lmf_rep.total_macs / base_rep.total_macs))
+
+
+def compare_attention_costs(cfg: ModelConfig, batch: int = 1):
+    """`reductions` of the two `attention_twins` of `cfg`."""
+    return reductions(*attention_twins(cfg, batch))
 
 
 def emit_table(report, fmt: str = "aligned-text") -> str:

@@ -85,6 +85,8 @@ class ModelConfig:
     def validate(self) -> "ModelConfig":
         if self.image_size < 1 or self.patch_size < 1 or self.image_size % self.patch_size:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.embed_dim < 1 or self.embed_dim % self.heads:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.depth < 1:
@@ -107,6 +109,9 @@ class ModelConfig:
                 f"kv_reduction {self.kv_reduction} exceeds patch-token count {self.num_patches}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        for name, width in (("rrcv_channels", self.rrcv_channels), ("baseline_dim", self.baseline_dim)):
+            if width is not None and width < 1:
+                raise ConfigError(f"{name} must be none or >= 1, got {width}")
         return self
 
 

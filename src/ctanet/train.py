@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -226,9 +226,7 @@ def _pack_blob(payload: bytes) -> bytes:
 
 
 def _config_json(cfg: ModelConfig) -> bytes:
-    d = asdict(cfg)
-    d["kernel_scales"] = list(d["kernel_scales"])
-    return json.dumps(d, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode()
 
 
 def save_checkpoint(path: str, net: CtaNet, state: Optional[OptimizerState] = None,
@@ -306,9 +304,12 @@ def load_checkpoint(path: str):
     text = rd.text()
     try:
         cfg_d = json.loads(text)
-        cfg_d["kernel_scales"] = tuple(cfg_d["kernel_scales"])
-        cfg = ModelConfig(**cfg_d).validate()
-    except (ValueError, TypeError, KeyError) as exc:
+        names = {f.name for f in fields(ModelConfig)}
+        if set(cfg_d) != names:
+            raise ValueError(f"missing keys {sorted(names - set(cfg_d))}, "
+                             f"unknown keys {sorted(set(cfg_d) - names)}")
+        cfg = ModelConfig(**dict(cfg_d, kernel_scales=tuple(cfg_d["kernel_scales"]))).validate()
+    except (ValueError, TypeError) as exc:
         raise DataError(f"{path}: malformed model config ({type(exc).__name__}: {exc})") from None
     (has_opt,) = struct.unpack("<B", rd.take(1))
     (count,) = struct.unpack("<I", rd.take(4))

@@ -20,6 +20,53 @@ def run_cli(args):
     return cli.main(args)
 
 
+# The tiny preset's config.echo, literally. Run directories are named by its
+# hash and old echo files are replayed, so key names, order and value format
+# must not change.
+TINY_ECHO = (
+    "data.aug.crop = false\n"
+    "data.aug.flip = false\n"
+    "data.aug.jitter = false\n"
+    "data.aug.jitter_hi = 1.2\n"
+    "data.aug.jitter_lo = 0.8\n"
+    "data.aug.rotate = false\n"
+    "data.aug.rotate_deg = 15.0\n"
+    "data.kind = synthetic\n"
+    "data.root = data\n"
+    "data.seed = 0\n"
+    "data.split = train\n"
+    "data.subset = none\n"
+    "data.synth_classes = 10\n"
+    "data.synth_size = 512\n"
+    "data.target_size = 32\n"
+    "data.val_subset = none\n"
+    "model.attention_kind = lmf_mhsa\n"
+    "model.baseline_dim = 128\n"
+    "model.depth = 4\n"
+    "model.embed_dim = 64\n"
+    "model.heads = 4\n"
+    "model.image_size = 32\n"
+    "model.kernel_scales = 1,3,5\n"
+    "model.kv_reduction = 4\n"
+    "model.mlp_ratio = 4\n"
+    "model.num_classes = 10\n"
+    "model.patch_size = 4\n"
+    "model.rrcv_channels = none\n"
+    "model.rrcv_variant = resnet\n"
+    "model.use_class_token = true\n"
+    "train.batch_size = 32\n"
+    "train.beta1 = 0.9\n"
+    "train.beta2 = 0.999\n"
+    "train.dtype = f32\n"
+    "train.epochs = 20\n"
+    "train.eps = 1e-08\n"
+    "train.lr = 0.0003\n"
+    "train.seed = 0\n"
+    "train.warmup_epochs = 3\n"
+    "train.weight_decay = 0.05\n"
+)
+
+
 MICRO = [
     "--set", "model.depth=1",
     "--set", "data.synth_size=48",
@@ -67,6 +114,52 @@ class TestConfig:
         C.set_key(run, "model.kernel_scales", "none")
         assert run.model.kernel_scales == ()
 
+    def test_tiny_echo_replays_byte_identically(self):
+        run = C.preset_run_config("paper")
+        for key, value in C.parse_config_text(TINY_ECHO):
+            C.set_key(run, key, value)
+        assert C.effective_text(run) == TINY_ECHO
+        assert C.effective_text(C.preset_run_config("tiny")) == TINY_ECHO
+        assert C.config_hash(run) == "fba4e28ae2ce"
+        assert C.config_hash(C.preset_run_config("paper")) == "706cb7ab839a"
+
+    @pytest.mark.parametrize("flag,value,keys", [
+        ("--seed", "7", ("train.seed", "data.seed")),
+        ("--dtype", "f64", ("train.dtype",)),
+        ("--attention", "mhsa", ("model.attention_kind",)),
+        ("--rrcv", "cnn", ("model.rrcv_variant",)),
+        ("--scales", "3,5", ("model.kernel_scales",)),
+        ("--subset", "7", ("data.subset",)),
+        ("--epochs", "7", ("train.epochs",)),
+        ("--batch-size", "7", ("train.batch_size",)),
+    ])
+    def test_shortcut_equals_set(self, flag, value, keys):
+        def text(argv):
+            return C.effective_text(cli.build_run(cli.build_parser().parse_args(["train", *argv])))
+        via_flag = text([flag, value])
+        assert via_flag == text([a for key in keys for a in ("--set", f"{key}={value}")])
+        assert via_flag != text([])
+
+    def test_fuzzed_values_raise_only_config_error(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # validate() only: a fuzzed extent must never size an allocation
+        @hypothesis.settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(key=st.sampled_from(C.all_keys()),
+                          value=st.one_of(st.integers(-2, 8).map(str), st.integers().map(str),
+                                          st.floats().map(repr), st.text(max_size=12),
+                                          st.sampled_from(["none", "true", "1,3", "f64", "mhsa"])))
+        def check(key, value):
+            run = C.preset_run_config("tiny")
+            try:
+                C.set_key(run, key, value)
+                run.validate()
+            except ConfigError:
+                pass
+
+        check()
+
     def test_class_count_mismatch_rejected(self):
         run = C.preset_run_config("tiny")
         C.set_key(run, "data.synth_classes", "7")
@@ -98,6 +191,12 @@ class TestAnalyze:
 
     def test_invalid_config_exits_2(self, capsys):
         assert run_cli(["analyze", "--set", "model.depth=0"]) == 2
+
+    @pytest.mark.parametrize("kv", ["model.heads=0", "model.heads=-4",
+                                    "model.rrcv_channels=0", "model.baseline_dim=0"])
+    def test_out_of_range_model_value_exits_2(self, capsys, kv):
+        assert run_cli(["analyze", "--set", kv]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestTrainEval:
@@ -174,11 +273,11 @@ class TestTrainEval:
         assert "empty split" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt", ["non_utf8_config", "malformed_json", "unknown_key",
-                                         "missing_key", "bad_dtype_tag", "bad_rank",
+                                         "missing_key", "missing_heads", "bad_dtype_tag", "bad_rank",
                                          "mixed_dtype", "trailing_bytes", "tensor_trailing_bytes"])
     def test_malformed_checkpoint_exits_3(self, tmp_path, capsys, corrupt):
         path = str(tmp_path / "net.ckpt")
-        net = model_init(tiny_config(depth=1), seed=0)
+        net = model_init(tiny_config(depth=1, heads=2 if corrupt == "missing_heads" else 4), seed=0)
         if corrupt == "mixed_dtype":
             fc1 = net.blocks[0].mlp.fc1.weight
             fc1.data = fc1.data.astype(np.float64)
@@ -193,8 +292,9 @@ class TestTrainEval:
             cfg = cfg[:-1]
         elif corrupt == "unknown_key":
             cfg = json.dumps(dict(cfg_d, bogus=1)).encode()
-        elif corrupt == "missing_key":
-            cfg = json.dumps({k: v for k, v in cfg_d.items() if k != "kernel_scales"}).encode()
+        elif corrupt in ("missing_key", "missing_heads"):
+            gone = "heads" if corrupt == "missing_heads" else "kernel_scales"
+            cfg = json.dumps({k: v for k, v in cfg_d.items() if k != gone}).encode()
         elif corrupt == "trailing_bytes":
             rest += bytes(7)
         elif corrupt != "mixed_dtype":

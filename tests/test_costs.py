@@ -5,9 +5,10 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_valid_config
-from ctanet.costs import compare_attention_costs, conv_macs, count_costs, count_params, emit_table
+from ctanet.costs import (attention_twins, compare_attention_costs, conv_macs, count_costs, count_params,
+                          emit_table, reductions)
 from ctanet.errors import ConfigError
-from ctanet.model import ModelConfig, model_init, paper_config, tiny_config
+from ctanet.model import ModelConfig, baseline_twin, model_init, paper_config, tiny_config
 
 
 class TestParamExactness:
@@ -95,6 +96,14 @@ class TestComparisons:
         p, f = compare_attention_costs(paper_config())
         assert p >= 55.0
         assert f >= 65.0
+
+    def test_twins_drop_the_detour_and_keep_the_batch(self):
+        cfg = tiny_config(attention_kind="mhsa")
+        lmf, base = attention_twins(cfg, batch=3)
+        ref = count_costs(replace(cfg, attention_kind="lmf_mhsa", rrcv_variant="none"), batch=3)
+        assert (lmf.rows, lmf.batch) == (ref.rows, 3)
+        assert base.rows == count_costs(baseline_twin(cfg), batch=3).rows
+        assert compare_attention_costs(cfg, batch=3) == reductions(lmf, base)
 
     def test_lmf_params_below_reference(self):
         for r in (2, 4):
