@@ -12,8 +12,10 @@ import argparse
 import copy
 import itertools
 import os
+import re
 import sys
 import time
+from dataclasses import replace
 
 from . import config as C
 from . import costs
@@ -42,17 +44,35 @@ _SHORTCUTS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--preset", choices=("tiny", "paper"), default="tiny")
-    sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override a single config key (repeatable)")
-    sub.add_argument("--out-dir", default="runs")
-    for flag, (keys, opts) in _SHORTCUTS.items():
-        sub.add_argument(flag, help="sets " + " and ".join(keys), **opts)
+# ablation axis (grid.<axis> key, --grid-<axis> flag, summary column) -> config key
+_GRID_AXES = {
+    "attention": "model.attention_kind",
+    "rrcv": "model.rrcv_variant",
+    "scales": "model.kernel_scales",
+    "batch": "train.batch_size",
+    "depth": "model.depth",
+    "heads": "model.heads",
+}
 
 
-def apply_flag_overrides(run: C.RunConfig, args) -> None:
+def _assemble(args):
+    """preset < config file < --set < shortcuts, not yet validated.
+
+    Returns the run and the config file's grid.* lines as {axis: value};
+    those are read only by `ablate`, and any other command rejects them as
+    unknown keys."""
+    run, grid = C.preset_run_config(args.preset), {}
+    if args.config:
+        if not os.path.exists(args.config):
+            raise ConfigError(f"config file not found: {args.config}")
+        with open(args.config) as fh:
+            for key, value in C.parse_config_text(fh.read()):
+                if key.startswith("grid.") and args.command == "ablate":
+                    if key[5:] not in _GRID_AXES:
+                        raise ConfigError(f"unknown grid axis {key!r}")
+                    grid[key[5:]] = value
+                else:
+                    C.set_key(run, key, value)
     for kv in args.set:
         if "=" not in kv:
             raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")
@@ -63,25 +83,33 @@ def apply_flag_overrides(run: C.RunConfig, args) -> None:
         if value is not None:
             for key in keys:
                 C.set_key(run, key, str(value))
+    return run, grid
 
 
 def build_run(args) -> C.RunConfig:
-    run = C.preset_run_config(args.preset)
-    if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        C.apply_config_file(run, args.config)
-    apply_flag_overrides(run, args)
-    return run.validate()
+    return _assemble(args)[0].validate()
 
 
-def _make_run_dir(base: str, run: C.RunConfig) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    path = os.path.join(base, f"{C.config_hash(run)}-{stamp}")
+def _make_run_dir(path: str, run: C.RunConfig) -> str:
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "config.echo"), "w") as fh:
         fh.write(C.effective_text(run))
     return path
+
+
+def _load_split(run: C.RunConfig, split: str) -> D.Dataset:
+    """The train split is capped at data.subset, the test split at data.val_subset."""
+    cap = run.data.subset_size if split == "train" else run.data.val_subset
+    return D.load_dataset(replace(run.data, split=split, subset_size=cap))
+
+
+def _train(run: C.RunConfig, run_dir: str, log=None):
+    """Train `run` from its seed, writing metrics and checkpoints to run_dir."""
+    train_ds, val_ds = _load_split(run, "train"), _load_split(run, "test")
+    net = model_init(run.model, seed=run.train.seed, dtype=run.train.dtype)
+    return TR.train_run(net, TR.OptimizerState.for_model(net), run.train, train_ds, val_ds,
+                        aug=run.data.augment, target_size=run.model.image_size,
+                        out_dir=run_dir, log=log)
 
 
 # --------------------------------------------------------------------------
@@ -114,28 +142,12 @@ def cmd_analyze(args) -> int:
 # train / eval
 # --------------------------------------------------------------------------
 
-def _datasets(run: C.RunConfig):
-    train_spec = copy.deepcopy(run.data)
-    train_spec.split = "train"
-    val_spec = copy.deepcopy(run.data)
-    val_spec.split = "test"
-    val_spec.subset_size = run.data.val_subset
-    train_ds = D.load_dataset(train_spec)
-    val_ds = D.load_dataset(val_spec)
-    return train_ds, val_ds
-
-
 def cmd_train(args) -> int:
     run = build_run(args)
-    run_dir = _make_run_dir(args.out_dir, run)
+    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
+    run_dir = _make_run_dir(os.path.join(args.out_dir, f"{C.config_hash(run)}-{stamp}"), run)
     print(f"run dir: {run_dir}")
-    train_ds, val_ds = _datasets(run)
-    net = model_init(run.model, seed=run.train.seed, dtype=run.train.dtype)
-    state = TR.OptimizerState.for_model(net)
-    rows = TR.train_run(net, state, run.train, train_ds, val_ds,
-                        aug=run.data.augment, target_size=run.model.image_size,
-                        out_dir=run_dir, log=print)
-    last = rows[-1]
+    last = _train(run, run_dir, log=print)[-1]
     print(f"final: train top1 {last.train_top1:.4f}, val top1 {last.val_top1:.4f}")
     return EXIT_OK
 
@@ -143,10 +155,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run = build_run(args)
     net, _, _, _ = TR.load_checkpoint(args.checkpoint)
-    spec = copy.deepcopy(run.data)
-    spec.split = args.split
-    spec.subset_size = run.data.val_subset if args.split == "test" else run.data.subset_size
-    ds = D.load_dataset(spec)
+    ds = _load_split(run, args.split)
     dtype = net.parameters()[0].dtype  # follow the checkpoint, not the config
     loss, top1 = TR.evaluate(net, ds, batch_size=run.train.batch_size,
                              target_size=net.config.image_size, dtype=dtype)
@@ -159,7 +168,7 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
-    results = G.run_suite(seed=args.seed or 0, include_model=not args.quick)
+    results = G.run_suite(seed=args.seed, include_model=not args.quick)
     width = max(len(r.name) for r in results)
     fails = 0
     for r in results:
@@ -177,64 +186,21 @@ def cmd_gradcheck(args) -> int:
 # ablate
 # --------------------------------------------------------------------------
 
-# ablation axis (grid.<axis> key, --grid-<axis> flag, summary column) -> config key
-_GRID_AXES = {
-    "attention": "model.attention_kind",
-    "rrcv": "model.rrcv_variant",
-    "scales": "model.kernel_scales",
-    "batch": "train.batch_size",
-    "depth": "model.depth",
-    "heads": "model.heads",
-}
-
-
-def _parse_grid(args):
-    """grid.* keys from the config file plus --grid-* flags; returns
-    (base config pairs, {axis: [values]})."""
-    grid: dict = {}
-    base_pairs = []
-    if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            for key, value in C.parse_config_text(fh.read()):
-                if key.startswith("grid."):
-                    axis = key[5:]
-                    if axis not in _GRID_AXES:
-                        raise ConfigError(f"unknown grid axis {key!r}")
-                    grid[axis] = value
-                else:
-                    base_pairs.append((key, value))
-    for axis in _GRID_AXES:
-        flag = getattr(args, f"grid_{axis}")
-        if flag is not None:
-            grid[axis] = flag
-    parsed = {}
-    for axis, value in grid.items():
-        if axis == "scales":
-            cells = [v.strip() for v in value.replace("|", ";").split(";") if v.strip()]
-        else:
-            cells = [v.strip() for v in value.split(",") if v.strip()]
-        if not cells:
-            raise ConfigError(f"grid axis {axis} is empty")
-        parsed[axis] = cells
-    return base_pairs, parsed
-
-
 def cmd_ablate(args) -> int:
-    base_pairs, grid = _parse_grid(args)
+    base, grid = _assemble(args)
+    flags = {axis: getattr(args, f"grid_{axis}") for axis in _GRID_AXES}
+    grid.update({axis: value for axis, value in flags.items() if value is not None})
     if not grid:
         raise ConfigError("empty ablation grid: give grid.* keys or --grid-* flags")
-    base = C.preset_run_config(args.preset)
-    for key, value in base_pairs:
-        C.set_key(base, key, value)
-    apply_flag_overrides(base, args)
-
     axes = sorted(grid)
+    for axis in axes:
+        sep = "[;|]" if axis == "scales" else ","
+        grid[axis] = [v.strip() for v in re.split(sep, grid[axis]) if v.strip()]
+        if not grid[axis]:
+            raise ConfigError(f"grid axis {axis} is empty")
+
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     out_root = os.path.join(args.out_dir, f"ablation-{stamp}")
-    os.makedirs(out_root, exist_ok=True)
-    summary_path = os.path.join(out_root, "summary.csv")
     header = ",".join(["cell", *_GRID_AXES, "top1", "params", "flops", "seconds"])
     lines = [header]
     print(header)
@@ -242,19 +208,9 @@ def cmd_ablate(args) -> int:
         run = copy.deepcopy(base)
         for axis, value in zip(axes, combo):
             C.set_key(run, _GRID_AXES[axis], value)
-        run.validate()
-        cell = C.config_hash(run)
-        cell_dir = os.path.join(out_root, cell)
-        os.makedirs(cell_dir, exist_ok=True)
-        with open(os.path.join(cell_dir, "config.echo"), "w") as fh:
-            fh.write(C.effective_text(run))
+        cell = C.config_hash(run.validate())
         t0 = time.time()
-        train_ds, val_ds = _datasets(run)
-        net = model_init(run.model, seed=run.train.seed, dtype=run.train.dtype)
-        state = TR.OptimizerState.for_model(net)
-        rows = TR.train_run(net, state, run.train, train_ds, val_ds,
-                            aug=run.data.augment, target_size=run.model.image_size,
-                            out_dir=cell_dir)
+        rows = _train(run, _make_run_dir(os.path.join(out_root, cell), run))
         secs = time.time() - t0
         rep = costs.count_costs(run.model)
         values = [C.format_value(C.get_key(run, key)).replace(",", "+") for key in _GRID_AXES.values()]
@@ -262,6 +218,7 @@ def cmd_ablate(args) -> int:
                         str(rep.total_flops), f"{secs:.3f}"])
         lines.append(row)
         print(row)
+    summary_path = os.path.join(out_root, "summary.csv")
     with open(summary_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {summary_path}")
@@ -272,35 +229,47 @@ def cmd_ablate(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags `_assemble` reads."""
+    sub.add_argument("--config", help="key = value config file")
+    sub.add_argument("--preset", choices=("tiny", "paper"), default="tiny")
+    sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                     help="override a single config key (repeatable)")
+    for flag, (keys, opts) in _SHORTCUTS.items():
+        sub.add_argument(flag, help="sets " + " and ".join(keys), **opts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctanet",
                                      description="hybrid conv/transformer classifier tools")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="analytic parameter/FLOP tables and reductions")
-    _add_common(p)
+    _add_run_flags(p)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--format", choices=("aligned-text", "csv"), default="csv")
     p.add_argument("--out", help="write the model cost table to this file")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("train", help="train a model, writing metrics and checkpoints")
-    _add_common(p)
+    _add_run_flags(p)
+    p.add_argument("--out-dir", default="runs")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p)
+    _add_run_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("gradcheck", help="f64 central-difference gradient suite")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true", help="skip the whole-model check")
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("ablate", help="cross-product config grid, one summary row per cell")
-    _add_common(p)
+    _add_run_flags(p)
+    p.add_argument("--out-dir", default="runs")
     for axis, key in _GRID_AXES.items():
         p.add_argument(f"--grid-{axis}", help=f"comma (scales: semicolon) separated {key} values")
     p.set_defaults(func=cmd_ablate)

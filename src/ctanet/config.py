@@ -143,13 +143,6 @@ def parse_config_text(text: str):
     return pairs
 
 
-def apply_config_file(run: RunConfig, path: str) -> None:
-    with open(path) as fh:
-        text = fh.read()
-    for key, value in parse_config_text(text):
-        set_key(run, key, value)
-
-
 def preset_run_config(preset: str = "tiny") -> RunConfig:
     """Named starting points. tiny: 32px desk scale; paper: 224px full shape."""
     if preset == "tiny":

@@ -58,8 +58,16 @@ class DatasetSpec:
             raise ConfigError(f"unknown split {self.split!r}")
         if self.target_size not in (32, 224):
             raise ConfigError(f"target_size must be 32 or 224, got {self.target_size}")
-        if self.subset_size is not None and self.subset_size < 1:
-            raise ConfigError(f"subset_size must be positive, got {self.subset_size}")
+        for key, size in (("data.subset", self.subset_size), ("data.val_subset", self.val_subset)):
+            if size is not None and size < 1:
+                raise ConfigError(f"{key} must be positive, got {size}")
+        a = self.augment
+        for key, value in (("rotate_deg", a.rotate_deg), ("jitter_lo", a.jitter_lo),
+                           ("jitter_hi", a.jitter_hi)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"data.aug.{key} must be finite and >= 0, got {value!r}")
+        if a.jitter_lo > a.jitter_hi:
+            raise ConfigError(f"data.aug.jitter_lo={a.jitter_lo!r} exceeds data.aug.jitter_hi={a.jitter_hi!r}")
         return self
 
 

@@ -1,7 +1,9 @@
 """CLI contract: config handling, subcommands, exit codes, artifacts."""
 
+import argparse
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -18,6 +20,14 @@ from ctanet.train import save_checkpoint
 
 def run_cli(args):
     return cli.main(args)
+
+
+def exit_code(args):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 # The tiny preset's config.echo, literally. Run directories are named by its
@@ -420,3 +430,110 @@ class TestAblate:
         d = os.listdir(out)[0]
         lines = open(os.path.join(out, d, "summary.csv")).read().strip().splitlines()
         assert len(lines) == 3
+
+
+class TestOneRunPath:
+    def test_train_and_one_cell_ablate_agree(self, tmp_path, capsys, monkeypatch):
+        flags = ["--preset", "tiny", *MICRO, "--seed", "4"]
+        assert run_cli(["train", *flags, "--out-dir", str(tmp_path / "t")]) == 0
+        assert run_cli(["ablate", *flags, "--grid-rrcv", "resnet", "--out-dir", str(tmp_path / "a")]) == 0
+        (train_dir,) = os.listdir(tmp_path / "t")
+        (root,) = os.listdir(tmp_path / "a")
+        (cell,) = [d for d in os.listdir(tmp_path / "a" / root) if d != "summary.csv"]
+        assert cell == train_dir.split("-")[0]
+        for name in ("config.echo", "last.ckpt"):
+            assert ((tmp_path / "t" / train_dir / name).read_bytes()
+                    == (tmp_path / "a" / root / cell / name).read_bytes())
+
+        scored = []
+        real = cli.TR.evaluate
+
+        def counting(net, ds, **kw):
+            scored.append(len(ds))
+            return real(net, ds, **kw)
+
+        monkeypatch.setattr(cli.TR, "evaluate", counting)
+        ckpt = str(tmp_path / "t" / train_dir / "last.ckpt")
+        assert run_cli(["eval", *flags, "--checkpoint", ckpt, "--split", "train", "--subset", "24"]) == 0
+        assert run_cli(["eval", *flags, "--checkpoint", ckpt]) == 0
+        assert scored == [24, 16]   # data.subset caps train, data.val_subset caps test
+
+
+class TestRejectedBeforeRunDir:
+    def test_val_subset_below_one(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run_cli(["train", *MICRO, "--set", "data.val_subset=0", "--out-dir", str(out)]) == 2
+        assert "data.val_subset" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sets,key", [
+        (["data.aug.jitter=true", "data.aug.jitter_lo=-1"], "data.aug.jitter_lo"),
+        (["data.aug.jitter=true", "data.aug.jitter_lo=1.5"], "data.aug.jitter_lo"),
+        (["data.aug.jitter=true", "data.aug.jitter_lo=nan"], "data.aug.jitter_lo"),
+        (["data.aug.jitter=true", "data.aug.jitter_hi=inf"], "data.aug.jitter_hi"),
+        (["data.aug.jitter=true", "data.aug.jitter_hi=0.5"], "data.aug.jitter_hi"),
+        (["data.aug.rotate=true", "data.aug.rotate_deg=nan"], "data.aug.rotate_deg"),
+        (["data.aug.rotate=true", "data.aug.rotate_deg=-15"], "data.aug.rotate_deg"),
+    ])
+    def test_bad_augment_bounds(self, tmp_path, capsys, sets, key):
+        out = tmp_path / "runs"
+        argv = ["train", *MICRO, "--out-dir", str(out)]
+        for kv in sets:
+            argv += ["--set", kv]
+        assert run_cli(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--quick", "--preset", "paper"],
+        ["gradcheck", "--quick", "--set", "model.depth=9"],
+        ["analyze", "--out-dir", "x"],
+        ["eval", *MICRO, "--out-dir", "x"],
+    ])
+    def test_unread_flag_exits_2(self, tmp_path, capsys, argv):
+        if argv[0] == "eval":
+            ckpt = str(tmp_path / "net.ckpt")
+            save_checkpoint(ckpt, model_init(tiny_config(depth=1), seed=0))
+            argv = [*argv, "--checkpoint", ckpt]
+        assert exit_code(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_grid_line_outside_ablate_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid.rrcv = cnn,resnet\n")
+        out = tmp_path / "runs"
+        argv = [command, "--config", str(cfg)] + (["--out-dir", str(out)] if command == "train" else [])
+        assert run_cli(argv) == 2
+        assert "unknown config key 'grid.rrcv'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_tables_match_parser(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read().splitlines()
+
+        def table(header):
+            rows = []
+            for line in readme[readme.index(header) + 2:]:
+                if not line.startswith("|"):
+                    break
+                rows.append([cell.strip() for cell in line.strip("|").split("|")])
+            return rows
+
+        shortcuts = {re.match(r"`(--[a-z-]+)", flag).group(1): tuple(re.findall(r"`([a-z_.]+)`", keys))
+                     for flag, keys in table("| shortcut flag | config keys |")}
+        assert shortcuts == {flag: keys for flag, (keys, _) in cli._SHORTCUTS.items()}
+        axes = {axis.strip("`"): key.strip("`") for axis, key in table("| grid axis | config key |")}
+        assert axes == cli._GRID_AXES
+
+        documented = {}
+        for name, flags in table("| subcommand | flags |"):
+            flags = flags.replace("shortcut flags", " ".join(f"`{f}`" for f in cli._SHORTCUTS))
+            flags = flags.replace("`--grid-<axis>`", " ".join(f"`--grid-{a}`" for a in cli._GRID_AXES))
+            documented[name.strip("`")] = set(re.findall(r"`(--[a-z-]*[a-z])", flags))
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+        parsed = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+                  for name, sub in subs.items()}
+        assert documented == parsed
