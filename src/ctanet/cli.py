@@ -199,16 +199,23 @@ def cmd_ablate(args) -> int:
         if not grid[axis]:
             raise ConfigError(f"grid axis {axis} is empty")
 
-    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    out_root = os.path.join(args.out_dir, f"ablation-{stamp}")
-    header = ",".join(["cell", *_GRID_AXES, "top1", "params", "flops", "seconds"])
-    lines = [header]
-    print(header)
+    cells = {}
     for combo in itertools.product(*(grid[a] for a in axes)):
         run = copy.deepcopy(base)
         for axis, value in zip(axes, combo):
             C.set_key(run, _GRID_AXES[axis], value)
         cell = C.config_hash(run.validate())
+        if cell in cells:
+            raise ConfigError(f"grid values {cells[cell][0]} and {dict(zip(axes, combo))} "
+                              f"give the same config, cell {cell}")
+        cells[cell] = (dict(zip(axes, combo)), run)
+
+    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
+    out_root = os.path.join(args.out_dir, f"ablation-{stamp}")
+    header = ",".join(["cell", *_GRID_AXES, "top1", "params", "flops", "seconds"])
+    lines = [header]
+    print(header)
+    for cell, (_, run) in cells.items():
         t0 = time.time()
         rows = _train(run, _make_run_dir(os.path.join(out_root, cell), run))
         secs = time.time() - t0

@@ -331,7 +331,7 @@ def multi_scale_fuse(x: Tensor, fp: FusionParams) -> Tensor:
     as a sum over the branches, without the concatenation)."""
     if not fp.scales:
         raise ConfigError("multi_scale_fuse needs at least one scale")
-    return nn.pointwise_nhwc([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
+    return nn.linear([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
 
 
 def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = False,
@@ -420,16 +420,16 @@ def rrcv_forward(x: Tensor, rp: RrcvParams, cfg: ModelConfig) -> Tensor:
         h = nn.gelu(h)
         h = nn.conv2d_nhwc(h, rp.body[1])
     elif rp.variant == "dwconv":
-        h = nn.pointwise_nhwc([nn.conv2d_nhwc(f, rp.body[0])], rp.body[1])
+        h = nn.linear(nn.conv2d_nhwc(f, rp.body[0]), rp.body[1])
         h = nn.gelu(h)
-        h = nn.pointwise_nhwc([nn.conv2d_nhwc(h, rp.body[2])], rp.body[3])
+        h = nn.linear(nn.conv2d_nhwc(h, rp.body[2]), rp.body[3])
     else:  # resnet: conv-act-conv plus the identity skip, no activation after the sum
         h = nn.conv2d_nhwc(f, rp.body[0])
         h = nn.gelu(h)
         h = nn.conv2d_nhwc(h, rp.body[1])
         h = T.add(h, f)
 
-    h = nn.pointwise_nhwc([h], rp.pconv)
+    h = nn.linear(h, rp.pconv)
     tokens = nn.linear(extract_patches(h, cfg.patch_size), rp.embed)
     return tokens if cls is None else T.concat([cls, tokens], axis=1)
 

@@ -2,18 +2,19 @@
 
 Each layer is one tape op. It computes in place into buffers it allocates
 itself (never into its inputs) and its backward reads only what the
-forward kept: ``linear`` is one [rows, in] @ W^T GEMM, ``gelu`` keeps its
-derivative in one buffer. Convolutions run channels-last: depthwise is one
-einsum over the k x k windows of the padded map, dense and grouped convs a
-sum over the taps of shifted input slices times per-tap weights. The
-naive nested-loop form lives in the test suite as the oracle.
+forward kept: ``linear`` is one [rows, in] @ W^T GEMM per input block and
+also runs every 1x1 conv, ``gelu`` keeps its derivative in one buffer.
+Convolutions run channels-last: depthwise is one einsum over the k x k
+windows of the padded map, dense and grouped convs a sum over the taps of
+shifted input slices times per-tap weights. The naive nested-loop form
+lives in the test suite as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -200,44 +201,6 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
     return T._make(out, parents, backward, "conv2d")
 
 
-def pointwise_nhwc(xs, p: Conv2dParams) -> Tensor:
-    """1x1 convolution over the last axis: sum_s xs[s] @ W[:, c_s]^T + b.
-
-    ``xs`` are consecutive channel blocks of the input, read in place of
-    their concatenation; W is the stored [out_ch, in_ch, 1, 1] weight.
-    """
-    OC, C, kh, kw = p.weight.shape
-    if kh != 1 or kw != 1:
-        raise ShapeError(f"pointwise conv needs a 1x1 kernel, got {list(p.weight.shape)}")
-    if p.groups != 1 or p.stride != 1 or p.padding != 0:
-        raise ShapeError("pointwise conv uses groups == stride == 1 and no padding")
-    bounds = np.cumsum([0] + [x.shape[-1] for x in xs])
-    if bounds[-1] != C or any(x.shape[:-1] != xs[0].shape[:-1] for x in xs):
-        raise ShapeError(f"pointwise inputs {[list(x.shape) for x in xs]} do not match weight in_ch {C}")
-    w, b = p.weight, p.bias
-    w2 = w.data.reshape(OC, C)
-    parts = list(zip(xs, bounds[:-1], bounds[1:]))
-    out = xs[0].data.reshape(-1, bounds[1]) @ w2[:, :bounds[1]].T
-    for x, lo, hi in parts[1:]:
-        out += x.data.reshape(-1, hi - lo) @ w2[:, lo:hi].T
-    if b is not None:
-        out += b.data
-    out = out.reshape(xs[0].shape[:-1] + (OC,))
-
-    def backward(g):
-        g2 = g.reshape(-1, OC)
-        if b is not None and b.requires_grad:
-            T._accumulate(b, g2.sum(axis=0))
-        if w.requires_grad:
-            dw = np.concatenate([g2.T @ x.data.reshape(-1, hi - lo) for x, lo, hi in parts], axis=1)
-            T._accumulate(w, dw.reshape(OC, C, 1, 1))
-        for x, lo, hi in parts:
-            if x.requires_grad:
-                T._accumulate(x, (g2 @ w2[:, lo:hi]).reshape(x.shape))
-
-    return T._make(out, tuple(xs) + ((w,) if b is None else (w, b)), backward, "pointwise_conv2d")
-
-
 # NCHW adapters: the layout of the naive oracle and the gradient registry.
 
 def _nchw(x: Tensor, conv) -> Tensor:
@@ -261,22 +224,48 @@ def depthwise_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
 def pointwise_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """1x1 channel mixer of [B, C, H, W]: a per-pixel linear map."""
-    return _nchw(x, lambda t: pointwise_nhwc([t], p))
+    if p.weight.shape[2:] != (1, 1) or p.groups != 1 or p.stride != 1 or p.padding != 0:
+        raise ShapeError(f"pointwise conv needs a 1x1 kernel, groups == stride == 1 and no "
+                         f"padding, got weight {list(p.weight.shape)}")
+    return _nchw(x, lambda t: linear(t, p))
 
 
 # --------------------------------------------------------------------------
 # linear / layer norm / activations / loss
 # --------------------------------------------------------------------------
 
-def linear(x: Tensor, p: LinearParams) -> Tensor:
-    """y = x W^T + b over the last axis: one [rows, in] @ W^T GEMM."""
+def linear(x: Tensor | Sequence[Tensor], p: LinearParams | Conv2dParams) -> Tensor:
+    """y = x W^T + b over the last axis: one [rows, in] @ W^T GEMM per input.
+
+    ``x`` is one tensor or a list of consecutive channel blocks, read in
+    place of their concatenation. W is read as [out, in] whatever its
+    trailing unit extents, so a 1x1 conv weight [out, in, 1, 1] serves as stored.
+    """
     w, b = p.weight, p.bias
-    out_dim, in_dim = w.shape
-    if x.shape[-1] != in_dim:
-        raise ShapeError(f"linear expects last axis {in_dim}, got {list(x.shape)}")
-    T._check_same_dtype(x, w, "linear")
-    x2 = x.data.reshape(-1, in_dim)     # a copy only when x is a non-contiguous view
-    out = x2 @ w.data.T
+    wd = w.data
+    out_dim, in_dim = wd.shape[:2]
+    if wd.ndim > 2:
+        if wd.size != out_dim * in_dim:
+            raise ShapeError(f"linear reads the weight as [out, in], got {list(w.shape)}")
+        wd = wd.reshape(out_dim, in_dim)
+    if isinstance(x, Tensor):
+        if x.shape[-1] != in_dim:
+            raise ShapeError(f"linear expects last axis {in_dim}, got {list(x.shape)}")
+        T._check_same_dtype(x, w, "linear")
+        xs, ws, x2s = (x,), (wd,), (x.data.reshape(-1, in_dim),)   # reshape: a view if contiguous
+    else:
+        xs, ws, lo = tuple(x), [], 0
+        for t in xs:
+            T._check_same_dtype(t, w, "linear")
+            ws.append(wd[:, lo:lo + t.shape[-1]])
+            lo += t.shape[-1]
+        if lo != in_dim or any(t.shape[:-1] != xs[0].shape[:-1] for t in xs):
+            raise ShapeError(f"linear blocks {[list(t.shape) for t in xs]} do not match "
+                             f"weight {list(w.shape)}")
+        x2s = [t.data.reshape(-1, t.shape[-1]) for t in xs]
+    out = x2s[0] @ ws[0].T
+    for k in range(1, len(xs)):
+        out += x2s[k] @ ws[k].T
     if b is not None:
         out += b.data
 
@@ -285,12 +274,14 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
         if b is not None and b.requires_grad:
             T._accumulate(b, g2.sum(axis=0))
         if w.requires_grad:
-            T._accumulate(w, g2.T @ x2)
-        if x.requires_grad:
-            T._accumulate(x, (g2 @ w.data).reshape(x.shape))
+            dw = np.concatenate([g2.T @ x2 for x2 in x2s], axis=1) if len(xs) > 1 else g2.T @ x2s[0]
+            T._accumulate(w, dw if wd is w.data else dw.reshape(w.shape))   # a 1x1 conv weight
+        for t, wk in zip(xs, ws):
+            if t.requires_grad:
+                T._accumulate(t, (g2 @ wk).reshape(t.shape))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return T._make(out.reshape(x.shape[:-1] + (out_dim,)), parents, backward, "linear")
+    parents = xs + ((w,) if b is None else (w, b))
+    return T._make(out.reshape(xs[0].shape[:-1] + (out_dim,)), parents, backward, "linear")
 
 
 def _row_dot(a: np.ndarray, c: np.ndarray) -> np.ndarray:

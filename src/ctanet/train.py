@@ -82,6 +82,7 @@ class MetricsRow:
 
 
 METRICS_HEADER = "epoch,train_loss,train_top1,val_loss,val_top1,wall_seconds"
+EVAL_BATCH = 64   # batch size of train_run's validation pass
 
 
 def adamw_step(named_params, state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
@@ -177,7 +178,7 @@ def train_epoch(net: CtaNet, ds: D.Dataset, state: OptimizerState, cfg: TrainCon
     steps = math.ceil(len(ds) / cfg.batch_size)
     loss_sum, hit_sum, seen, i = 0.0, 0.0, 0, 0
     for batch in D.batch_iter(ds, cfg.batch_size, shuffle_seed=T.fold_seed(cfg.seed, 7001, epoch)):
-        if aug is not None and aug.any():
+        if aug is not None:
             batch = D.augment(batch, aug, seed=T.fold_seed(cfg.seed, 9001, epoch, i))
         x = _prepare(batch, target, cfg.dtype)
         logits = model_forward(x, net)
@@ -360,7 +361,7 @@ def train_run(net: CtaNet, state: OptimizerState, cfg: TrainConfig,
               train_ds: D.Dataset, val_ds: Optional[D.Dataset],
               aug: Optional[D.AugmentFlags] = None, target_size: Optional[int] = None,
               start_epoch: int = 0, stop_epoch: Optional[int] = None,
-              out_dir: Optional[str] = None, log=None, eval_batch: int = 64):
+              out_dir: Optional[str] = None, log=None):
     """Epoch loop with metrics rows and a rolling checkpoint. Returns the rows.
 
     `stop_epoch` pauses the run early without changing the schedule
@@ -377,7 +378,7 @@ def train_run(net: CtaNet, state: OptimizerState, cfg: TrainConfig,
         t0 = time.time()
         tr_loss, tr_top1, _ = train_epoch(net, train_ds, state, cfg, epoch, aug, target_size)
         if val_ds is not None:
-            va_loss, va_top1 = evaluate(net, val_ds, eval_batch, target_size, cfg.dtype)
+            va_loss, va_top1 = evaluate(net, val_ds, EVAL_BATCH, target_size, cfg.dtype)
         else:
             va_loss, va_top1 = float("nan"), float("nan")
         row = MetricsRow(epoch, tr_loss, tr_top1, va_loss, va_top1, time.time() - t0)

@@ -431,6 +431,34 @@ class TestAblate:
         lines = open(os.path.join(out, d, "summary.csv")).read().strip().splitlines()
         assert len(lines) == 3
 
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        """The run directories `cli._train` was asked to fill."""
+        calls = []
+
+        def fake(run, run_dir, log=None):
+            calls.append(run_dir)
+            return [cli.TR.MetricsRow(0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+
+        monkeypatch.setattr(cli, "_train", fake)
+        return calls
+
+    def test_invalid_later_cell_exits_2_before_training(self, tmp_path, capsys, trained):
+        out = tmp_path / "abl"
+        assert run_cli(["ablate", *MICRO, "--grid-heads", "4,3", "--out-dir", str(out)]) == 2
+        assert "heads 3" in capsys.readouterr().err
+        assert trained == [] and not out.exists()
+
+    def test_repeated_cell_exits_2_before_training(self, tmp_path, capsys, trained):
+        out = tmp_path / "abl"
+        argv = ["ablate", *MICRO, "--grid-rrcv", "resnet,resnet", "--out-dir", str(out)]
+        assert run_cli(argv) == 2
+        run, _ = cli._assemble(cli.build_parser().parse_args(argv))
+        C.set_key(run, "model.rrcv_variant", "resnet")
+        err = capsys.readouterr().err
+        assert C.config_hash(run.validate()) in err and err.count("{'rrcv': 'resnet'}") == 2
+        assert trained == [] and not out.exists()
+
 
 class TestOneRunPath:
     def test_train_and_one_cell_ablate_agree(self, tmp_path, capsys, monkeypatch):

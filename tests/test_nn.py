@@ -141,7 +141,7 @@ class TestLinear:
         assert np.abs(nn.linear(x, p).data - want).max() <= 1e-12
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^linear expects last axis 4, got \[2, 3\]$"):
             nn.linear(T.ones([2, 3]), nn.linear_init(4, 2, seed=1))
 
     def test_records_one_node(self):
@@ -168,6 +168,62 @@ class TestLinear:
         assert T.grad_check(loss_of, base) <= 1e-6
         errs = T.grad_check_params(lambda: loss_of(base), [("weight", p.weight)])
         assert errs["weight"] <= 1e-6
+
+
+class TestLinearBlocks:
+    """`linear` over consecutive channel blocks reads them in place of their
+    concatenation, and takes a 1x1 conv weight [out, in, 1, 1] as stored."""
+
+    def test_blocks_match_concatenation(self):
+        p = nn.conv2d_init(9, 5, 1, seed=21, dtype="f64")
+        r = T.uniform([2, 3, 3, 5], -1, 1, seed=22, dtype="f64")
+        xs = [T.uniform([2, 3, 3, c], -1, 1, seed=23 + c, dtype="f64", requires_grad=True)
+              for c in (2, 3, 4)]
+        xcat = T.concat(xs, axis=3)
+        got = []
+        for inputs in (xs, xcat):
+            y = nn.linear(inputs, p)
+            assert y._op == "linear"
+            T.backward(T.reduce_sum(T.mul(y, r)))
+            got.append([y.data, p.weight.grad, p.bias.grad] + [x.grad for x in xs])
+            T.zero_grads([p.weight, p.bias, *xs])
+        # Each block is its own GEMM, so the output adds the blocks' partial
+        # sums, in another order than one GEMM over the concatenation. Every
+        # gradient is the same reduction on both paths: bias and weight sum
+        # over rows, each block's dx over the outputs.
+        assert np.abs(got[0][0] - got[1][0]).max() <= 1e-12
+        for a, b in zip(got[0][1:], got[1][1:]):
+            assert np.array_equal(a, b)
+
+    def test_unit_weight_matches_conv2d(self):
+        x = T.uniform([2, 4, 5, 5], -1, 1, seed=24, dtype="f64", requires_grad=True)
+        p = nn.conv2d_init(4, 6, 1, seed=25, dtype="f64")
+        r = T.uniform([2, 6, 5, 5], -1, 1, seed=26, dtype="f64")
+        got = []
+        for layer in (lambda t: T.permute(nn.linear(T.permute(t, (0, 2, 3, 1)), p), (0, 3, 1, 2)),
+                      lambda t: nn.conv2d(t, p)):                # the tap sum at k=1
+            y = layer(x)
+            T.backward(T.reduce_sum(T.mul(y, r)))
+            got.append([y.data, x.grad, p.weight.grad, p.bias.grad])
+            T.zero_grads([x, p.weight, p.bias])
+        for a, b in zip(*got):
+            assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12
+
+    @pytest.mark.parametrize("leads,widths", [
+        ([(2, 3, 3), (2, 3, 3), (2, 3, 4)], [2, 3, 4]),        # differ off the last axis
+        ([(2, 3, 3), (3, 2, 3), (2, 3, 3)], [2, 3, 4]),        # same rows, other layout
+        ([(2, 3, 3)] * 2, [4, 4]),                              # widths sum to 8, not 9
+    ])
+    def test_mismatched_blocks_named(self, leads, widths):
+        xs = [T.ones([*lead, c], dtype="f64") for lead, c in zip(leads, widths)]
+        with pytest.raises(ShapeError) as err:
+            nn.linear(xs, nn.conv2d_init(9, 5, 1, seed=27, dtype="f64"))
+        assert all(str(list(x.shape)) in str(err.value) for x in xs)
+        assert "[5, 9, 1, 1]" in str(err.value)
+
+    def test_non_unit_weight_rejected(self):
+        with pytest.raises(ShapeError, match="as \\[out, in\\]"):
+            nn.linear(T.ones([2, 4]), nn.conv2d_init(4, 2, 3, seed=1))
 
 
 class TestLayerNorm:
