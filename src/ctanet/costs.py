@@ -83,6 +83,8 @@ def conv_macs(out_elems: int, in_ch: int, k: int, groups: int = 1) -> int:
 def count_costs(cfg: ModelConfig, batch: int = 1) -> CostReport:
     """Per-layer parameters and MACs for one forward pass at `batch`."""
     cfg.validate()
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     B = batch
     D, p, T, N = cfg.embed_dim, cfg.patch_size, cfg.tokens, cfg.num_patches
     use_lmf = cfg.attention_kind == "lmf_mhsa"

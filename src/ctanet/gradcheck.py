@@ -105,7 +105,17 @@ def op_checks(seed: int = 0):
         ("pointwise_conv2d", LAYER_TOL, lambda x: _weighted(nn.pointwise_conv2d(x, pw_p), s(58)), _rand([1, 3, 4, 4], s(59))),
         ("linear", LAYER_TOL, lambda x: _weighted(nn.linear(x, lin_p), s(60)), _rand([2, 3, 4], s(61))),
         ("layer_norm", LAYER_TOL, lambda x: _weighted(nn.layer_norm(x, ln_p), s(62)), _rand([2, 3, 4], s(63))),
+        ("linear_gelu", LAYER_TOL,
+         lambda x: _weighted(nn.linear(x, lin_p, gelu=True), s(100)), _rand([2, 3, 4], s(101))),
+        ("conv2d_gelu", LAYER_TOL,
+         lambda x: _weighted(nn.conv2d_nhwc(x, conv_p, gelu=True), s(102)), _rand([1, 5, 5, 2], s(103))),
         ("gelu", LAYER_TOL, lambda x: _weighted(nn.gelu(x), s(64)), _rand([2, 5], s(65), -2.0, 2.0)),
+        # q, k and v are slices of one probe [B, h, S, 3 dk]; k enters as [B, h, dk, S]
+        ("attend", LAYER_TOL,
+         lambda x: _weighted(nn.attend(T.slice_(x, (..., slice(0, 2))),
+                                       T.permute(T.slice_(x, (..., slice(2, 4))), (0, 1, 3, 2)),
+                                       T.slice_(x, (..., slice(4, 6))))[0], s(104)),
+         _rand([2, 2, 3, 6], s(105), -2.0, 2.0)),
         ("cross_entropy", LAYER_TOL, lambda x: cross_entropy(x, labels), _rand([2, 4], s(66))),
         ("reconstruct", TIGHT_TOL,
          lambda x: _weighted(reconstruct(x, 4, 4), s(67)), _rand([1, 2, 4, 2, 2], s(68))),

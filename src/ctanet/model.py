@@ -345,6 +345,8 @@ def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = Fals
     operand of the scores as it stands. Shortening after the head split
     keeps V's gradient in head layout up to the reduce's backward, which
     gathers it into a temporary rather than a buffer the tape holds.
+    `nn.attend` is the scores, scale, softmax and weighted sum as one tape
+    op; the weights it returns (with `return_weights`) do not record.
     """
     B, S, D = x.shape
     if D % heads:
@@ -359,12 +361,7 @@ def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = Fals
     if ap.k_reduce is not None:
         k = nn.linear(k, ap.k_reduce)                     # [B, h, dk, S_r]
         v = nn.linear(v, ap.v_reduce)
-    v = T.permute(v, (0, 1, 3, 2))
-
-    scores = T.scale(T.matmul(q, k), 1.0 / math.sqrt(dk))
-    weights = T.softmax(scores, axis=-1)
-    ctx = T.matmul(weights, v)                        # [B, h, Sq, dk]
-    ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), [B, Sq, D])
+    ctx, weights = nn.attend(q, k, T.permute(v, (0, 1, 3, 2)))   # ctx [B, Sq, D]
     y = nn.linear(ctx, ap.out)
     return (y, weights) if return_weights else y
 
@@ -416,17 +413,12 @@ def rrcv_forward(x: Tensor, rp: RrcvParams, cfg: ModelConfig) -> Tensor:
     f = reverse_embed(x, rp.re, cfg)
 
     if rp.variant == "cnn":
-        h = nn.conv2d_nhwc(f, rp.body[0])
-        h = nn.gelu(h)
-        h = nn.conv2d_nhwc(h, rp.body[1])
+        h = nn.conv2d_nhwc(nn.conv2d_nhwc(f, rp.body[0], gelu=True), rp.body[1])
     elif rp.variant == "dwconv":
-        h = nn.linear(nn.conv2d_nhwc(f, rp.body[0]), rp.body[1])
-        h = nn.gelu(h)
+        h = nn.linear(nn.conv2d_nhwc(f, rp.body[0]), rp.body[1], gelu=True)
         h = nn.linear(nn.conv2d_nhwc(h, rp.body[2]), rp.body[3])
     else:  # resnet: conv-act-conv plus the identity skip, no activation after the sum
-        h = nn.conv2d_nhwc(f, rp.body[0])
-        h = nn.gelu(h)
-        h = nn.conv2d_nhwc(h, rp.body[1])
+        h = nn.conv2d_nhwc(nn.conv2d_nhwc(f, rp.body[0], gelu=True), rp.body[1])
         h = T.add(h, f)
 
     h = nn.linear(h, rp.pconv)
@@ -435,7 +427,7 @@ def rrcv_forward(x: Tensor, rp: RrcvParams, cfg: ModelConfig) -> Tensor:
 
 
 def mlp_forward(x: Tensor, mp: MlpParams) -> Tensor:
-    return nn.linear(nn.gelu(nn.linear(x, mp.fc1)), mp.fc2)
+    return nn.linear(nn.linear(x, mp.fc1, gelu=True), mp.fc2)
 
 
 def ct_block(x: Tensor, bp: BlockParams, cfg: ModelConfig) -> Tensor:

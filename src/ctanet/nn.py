@@ -1,13 +1,15 @@
-"""Neural layers: convolutions, linear, layer norm, GELU, cross-entropy.
+"""Neural layers: convolutions, linear, layer norm, GELU, attention, cross-entropy.
 
 Each layer is one tape op. It computes in place into buffers it allocates
-itself (never into its inputs) and its backward reads only what the
-forward kept: ``linear`` is one [rows, in] @ W^T GEMM per input block and
-also runs every 1x1 conv, ``gelu`` keeps its derivative in one buffer.
-Convolutions run channels-last: depthwise is one einsum over the k x k
-windows of the padded map, dense and grouped convs a sum over the taps of
-shifted input slices times per-tap weights. The naive nested-loop form
-lives in the test suite as the oracle.
+itself (never into its inputs) and keeps only what its backward reads:
+``linear`` is one [rows, in] @ W^T GEMM per input block and also runs
+every 1x1 conv; ``linear`` and ``conv2d_nhwc`` with ``gelu=True`` apply
+GELU to their own output and keep only its derivative, never the
+pre-activation; ``attend`` keeps only the attention weights.
+Convolutions run channels-last and keep their unpadded input: depthwise
+is one einsum over the k x k windows of the padded map, dense and grouped
+convs a sum over the taps of shifted input slices times per-tap weights.
+The naive nested-loop form lives in the test suite as the oracle.
 """
 
 from __future__ import annotations
@@ -129,13 +131,15 @@ def _windows(a: np.ndarray, k: int, step: int) -> np.ndarray:
     return sliding_window_view(a, (k, k), axis=(1, 2))[:, ::step, ::step]
 
 
-def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
+def conv2d_nhwc(x: Tensor, p: Conv2dParams, gelu: bool = False) -> Tensor:
     """Grouped 2-d cross-correlation of a channels-last map [B, H, W, C].
 
-    Output [B, OH, OW, out_ch], OH = floor((H + 2*pad - k)/stride) + 1.
-    Depthwise (groups == C == out_ch) is one einsum of the input's windows
-    with the [k, k, C] taps. Otherwise each tap multiplies its [.., C] slice
-    by a block-diagonal [C, out_ch] matrix and the taps are summed.
+    Output [B, OH, OW, out_ch], OH = floor((H + 2*pad - k)/stride) + 1,
+    passed through GELU when ``gelu``. Depthwise (groups == C == out_ch) is
+    one einsum of the input's windows with the [k, k, C] taps. Otherwise
+    each tap multiplies its [.., C] slice by a block-diagonal [C, out_ch]
+    matrix and the taps are summed. The padded input is a forward
+    temporary; backward pads ``x`` again when the weight needs a gradient.
     """
     B, H, W, C, OC, k, OH, OW = _conv_checks(x, p)
     s, pad, G = p.stride, p.padding, p.groups
@@ -169,15 +173,20 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
             return np.einsum("bhwcij,ijc->bhwc", _windows(a, k, step), wk)
         return tap_sum(a, wk, step, oh, ow)
 
-    xp = _pad_hw(x.data, pad)
-    out = correlate(xp, wt, s, OH, OW)
+    out = correlate(_pad_hw(x.data, pad), wt, s, OH, OW)
     if b is not None:
         out += b.data
+    parents = (x, w) if b is None else (x, w, b)
+    if gelu:
+        out, dgelu = _gelu(out, T.recording(*parents), out=out)
 
     def backward(g):
+        if gelu:
+            g = g * dgelu
         if b is not None and b.requires_grad:
             T._accumulate(b, g.reshape(-1, OC).sum(axis=0))
         if w.requires_grad:
+            xp = _pad_hw(x.data, pad)
             if depthwise:
                 dw = np.einsum("bhwcij,bhwc->cij", _windows(xp, k, s), g).reshape(C, 1, k, k)
             else:
@@ -197,7 +206,6 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams) -> Tensor:
             gp = _pad_hw(g, k - 1)[:, pad:pad + H + k - 1, pad:pad + W + k - 1]
             T._accumulate(x, correlate(gp, wflip, 1, H, W))
 
-    parents = (x, w) if b is None else (x, w, b)
     return T._make(out, parents, backward, "conv2d")
 
 
@@ -234,12 +242,14 @@ def pointwise_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 # linear / layer norm / activations / loss
 # --------------------------------------------------------------------------
 
-def linear(x: Tensor | Sequence[Tensor], p: LinearParams | Conv2dParams) -> Tensor:
+def linear(x: Tensor | Sequence[Tensor], p: LinearParams | Conv2dParams,
+           gelu: bool = False) -> Tensor:
     """y = x W^T + b over the last axis: one [rows, in] @ W^T GEMM per input.
 
     ``x`` is one tensor or a list of consecutive channel blocks, read in
     place of their concatenation. W is read as [out, in] whatever its
-    trailing unit extents, so a 1x1 conv weight [out, in, 1, 1] serves as stored.
+    trailing unit extents, so a 1x1 conv weight [out, in, 1, 1] serves as
+    stored. With ``gelu`` the output is GELU(y), computed in y's buffer.
     """
     w, b = p.weight, p.bias
     wd = w.data
@@ -268,9 +278,14 @@ def linear(x: Tensor | Sequence[Tensor], p: LinearParams | Conv2dParams) -> Tens
         out += x2s[k] @ ws[k].T
     if b is not None:
         out += b.data
+    parents = xs + ((w,) if b is None else (w, b))
+    if gelu:
+        out, dgelu = _gelu(out, T.recording(*parents), out=out)
 
     def backward(g):
         g2 = g.reshape(-1, out_dim)
+        if gelu:
+            g2 = g2 * dgelu
         if b is not None and b.requires_grad:
             T._accumulate(b, g2.sum(axis=0))
         if w.requires_grad:
@@ -280,7 +295,6 @@ def linear(x: Tensor | Sequence[Tensor], p: LinearParams | Conv2dParams) -> Tens
             if t.requires_grad:
                 T._accumulate(t, (g2 @ wk).reshape(t.shape))
 
-    parents = xs + ((w,) if b is None else (w, b))
     return T._make(out.reshape(xs[0].shape[:-1] + (out_dim,)), parents, backward, "linear")
 
 
@@ -326,16 +340,17 @@ _GELU_C = math.sqrt(2.0 / math.pi)   # 0.7978845608028654
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh-form GELU: 0.5 x (1 + tanh(c (x + a x^3))), c = sqrt(2/pi), a = 0.044715.
+def _gelu(xd: np.ndarray, record: bool, out: Optional[np.ndarray] = None):
+    """tanh-form GELU of an array: 0.5 x (1 + tanh(c (x + a x^3))), c = sqrt(2/pi),
+    a = 0.044715. Returns (y, dy/dx), the derivative None unless ``record``.
 
-    While recording, forward also forms the derivative
+    y goes to ``out`` (which may be ``xd`` itself, read for the last time
+    there), else to a fresh buffer. The derivative
     0.5 (1 + t) + 0.5 x (1 - t^2) u' = (1 + t) (0.5 + 0.5 x u' (1 - t)),
-    t = tanh(u), u' = c (1 + 3 a x^2), in one buffer for backward to read.
+    t = tanh(u), u' = c (1 + 3 a x^2), is formed in one buffer alongside.
     """
-    xd = x.data
     t = xd * xd
-    record = T.recording(x)
+    d = None
     if record:
         d = t * (3.0 * _GELU_C * _GELU_A)
         d += _GELU_C
@@ -350,13 +365,64 @@ def gelu(x: Tensor) -> Tensor:
         d += 0.5
         d *= 1.0 + t
     t += 1.0
-    t *= xd
-    t *= 0.5                              # the output, in t's buffer
+    y = np.multiply(t, xd, out=t if out is None else out)
+    y *= 0.5
+    return y, d
+
+
+def gelu(x: Tensor) -> Tensor:
+    """tanh-form GELU (see ``_gelu``); backward reads only the derivative."""
+    y, d = _gelu(x.data, T.recording(x))
 
     def backward(g):
         T._accumulate(x, g * d)
 
-    return T._make(t, (x,), backward, "gelu")
+    return T._make(y, (x,), backward, "gelu")
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor):
+    """Scaled dot-product attention as one tape op: ctx = softmax(q k / sqrt(dk)) v.
+
+    q [B, h, Sq, dk]; k [B, h, dk, S], the scores' right operand as it
+    stands; v [B, h, S, dk]. Returns (ctx, weights): ctx [B, Sq, h*dk] with
+    the heads side by side, and the weights P [B, h, Sq, S] as a
+    non-recording tensor. The scale and the softmax run in place in the
+    scores' buffer, and the tape keeps only P.
+    """
+    if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
+        raise ShapeError(f"attend expects rank-4 q, k, v, got {list(q.shape)}, "
+                         f"{list(k.shape)}, {list(v.shape)}")
+    B, h, Sq, dk = q.shape
+    S = k.shape[3]
+    if k.shape != (B, h, dk, S) or v.shape != (B, h, S, dk):
+        raise ShapeError(f"attend: q {list(q.shape)} needs k [{B}, {h}, {dk}, S] and "
+                         f"v [{B}, {h}, S, {dk}], got {list(k.shape)} and {list(v.shape)}")
+    T._check_same_dtype(q, k, "attend")
+    T._check_same_dtype(q, v, "attend")
+    s = np.asarray(1.0 / math.sqrt(dk), dtype=q.data.dtype)
+    p = np.matmul(q.data, k.data)
+    p *= s
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    ctx = np.empty((B, Sq, h, dk), dtype=p.dtype)
+    np.matmul(p, v.data, out=ctx.transpose(0, 2, 1, 3))
+
+    def backward(g):
+        g = g.reshape(B, Sq, h, dk).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            T._accumulate(v, np.matmul(np.swapaxes(p, -1, -2), g))
+        # dS = (dP - <dP, P>) * P * s, the dot product over each row
+        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds -= np.einsum("...i,...i->...", ds, p)[..., None]
+        ds *= p
+        ds *= s
+        if q.requires_grad:
+            T._accumulate(q, np.matmul(ds, np.swapaxes(k.data, -1, -2)))
+        if k.requires_grad:
+            T._accumulate(k, np.matmul(np.swapaxes(q.data, -1, -2), ds))
+
+    return T._make(ctx.reshape(B, Sq, h * dk), (q, k, v), backward, "attend"), Tensor(p)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -51,6 +51,14 @@ class TrainConfig:
             raise ConfigError(f"warmup_epochs {self.warmup_epochs} must be < epochs {self.epochs}")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
+        for key in ("lr", "weight_decay"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"train.{key} must be finite and >= 0, got {getattr(self, key)}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ConfigError(f"train.{key} must be in [0, 1), got {getattr(self, key)}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"train.eps must be finite and > 0, got {self.eps}")
         return self
 
 

@@ -208,6 +208,13 @@ class TestAnalyze:
         assert run_cli(["analyze", "--set", kv]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch", ["0", "-3"])
+    def test_batch_below_one_exits_2(self, capsys, batch):
+        assert run_cli(["analyze", "--batch", batch]) == 2
+        captured = capsys.readouterr()
+        assert f"batch must be >= 1, got {batch}" in captured.err
+        assert "MACs" not in captured.out
+
 
 class TestTrainEval:
     def test_train_writes_artifacts_and_eval_matches(self, tmp_path, capsys):
@@ -510,6 +517,18 @@ class TestRejectedBeforeRunDir:
             argv += ["--set", kv]
         assert run_cli(argv) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kv", [
+        "train.lr=nan", "train.lr=-1", "train.lr=inf",
+        "train.weight_decay=-0.1", "train.weight_decay=nan",
+        "train.beta1=1.5", "train.beta1=1", "train.beta2=-0.1", "train.beta2=nan",
+        "train.eps=0", "train.eps=-1e-8", "train.eps=inf",
+    ])
+    def test_bad_optimizer_value(self, tmp_path, capsys, kv):
+        out = tmp_path / "runs"
+        assert run_cli(["train", *MICRO, "--set", kv, "--out-dir", str(out)]) == 2
+        assert kv.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
 

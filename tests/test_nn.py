@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import naive_conv2d
+from conftest import naive_conv2d, textbook_attention
 from ctanet import nn
 from ctanet import tensor as T
 from ctanet.errors import ConfigError, DataError, ShapeError
@@ -224,6 +224,100 @@ class TestLinearBlocks:
     def test_non_unit_weight_rejected(self):
         with pytest.raises(ShapeError, match="as \\[out, in\\]"):
             nn.linear(T.ones([2, 4]), nn.conv2d_init(4, 2, 3, seed=1))
+
+
+class TestFusedGelu:
+    """``gelu=True`` on a layer gives the bits of ``nn.gelu`` after it, and
+    its tape node keeps no pre-activation."""
+
+    @staticmethod
+    def _run(layer, x, p, fused, seed):
+        xt = Tensor(x.data.copy(), requires_grad=True)
+        y = layer(xt, p, gelu=True) if fused else nn.gelu(layer(xt, p))
+        T.backward(T.reduce_sum(T.mul(y, T.uniform(y.shape, -1, 1, seed=seed, dtype=x.dtype))))
+        return y, [t.grad.tobytes() for t in (xt, p.weight, p.bias)]
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("layer", ["linear", "conv2d_nhwc"])
+    def test_bits_match_gelu_of_plain_layer(self, dtype, layer):
+        if layer == "linear":
+            p = nn.linear_init(6, 10, seed=1, dtype=dtype)
+            x = T.uniform([2, 5, 6], -2, 2, seed=2, dtype=dtype)
+        else:
+            p = nn.conv2d_init(3, 4, 3, padding=1, seed=1, dtype=dtype)
+            x = T.uniform([2, 6, 6, 3], -2, 2, seed=2, dtype=dtype)
+        fn = getattr(nn, layer)
+        grads = []
+        for fused in (False, True):
+            for q in (p.weight, p.bias):
+                q.grad = None
+            y, g = self._run(fn, x, p, fused, seed=3)
+            grads.append((y.data.tobytes(), g))
+        assert grads[0] == grads[1]
+        with T.no_grad():
+            assert fn(x, p, gelu=True).data.tobytes() == grads[0][0]
+
+    def test_one_node_without_pre_activation(self):
+        p = nn.conv2d_init(2, 2, 3, padding=1, seed=4, dtype="f64")
+        x = T.uniform([1, 4, 4, 2], seed=5, dtype="f64", requires_grad=True)
+        y = nn.conv2d_nhwc(x, p, gelu=True)
+        assert y._op == "conv2d" and y._parents == (x, p.weight, p.bias)
+
+
+class TestAttend:
+    """One tape op for the scores, scale, softmax and weighted sum."""
+
+    B, S, D, H = 2, 6, 8, 2
+
+    def _inputs(self, reduce):
+        """q, k, v in attend's layouts, and the oracle's arguments with an
+        identity output projection, so the oracle returns the context."""
+        B, S, D, H = self.B, self.S, self.D, self.H
+        dk = D // H
+        rnd = lambda shape, seed: T.uniform(shape, -1, 1, seed=seed, dtype="f64").data
+        x = rnd([B, S, D], 1)
+        wq, wk, wv = (rnd([D, D], 2 + i) for i in range(3))
+        bq, bk, bv = (rnd([D], 5 + i) for i in range(3))
+        kv_reduce = [rnd([3, S], 8), rnd([3], 9), rnd([3, S], 10), rnd([3], 11)] if reduce else None
+
+        def tokens_last(w, b, r):             # [B, D, S'], shortened along tokens by r
+            y = (x @ w.T + b).transpose(0, 2, 1)
+            return y if r is None else y @ r[0].T + r[1]
+
+        kr, vr = (None, None) if kv_reduce is None else (kv_reduce[:2], kv_reduce[2:])
+        q = (x @ wq.T + bq).reshape(B, S, H, dk).transpose(0, 2, 1, 3)
+        k = tokens_last(wk, bk, kr).reshape(B, H, dk, -1)
+        v = tokens_last(wv, bv, vr).reshape(B, H, dk, -1).transpose(0, 1, 3, 2)
+        oracle = (x, wq, bq, wk, bk, wv, bv, np.eye(D), np.zeros(D))
+        return q, k, v, textbook_attention(*oracle, heads=H, kv_reduce=kv_reduce)
+
+    @pytest.mark.parametrize("query_rows", [None, 1])
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_matches_textbook_attention(self, reduce, query_rows):
+        q, k, v, want = self._inputs(reduce)
+        Sq = query_rows or self.S
+        ctx, weights = nn.attend(Tensor(q[:, :, :Sq]), Tensor(k), Tensor(v))
+        assert ctx.shape == (self.B, Sq, self.D)
+        assert np.abs(ctx.data - want[:, :Sq]).max() <= 1e-12
+        assert weights.shape == (self.B, self.H, Sq, k.shape[3]) and not weights.requires_grad
+        assert np.abs(weights.data.sum(-1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_check(self, which):
+        qkv = [Tensor(a) for a in self._inputs(reduce=True)[:3]]
+        w = T.uniform([self.B, self.S, self.D], -1, 1, seed=12, dtype="f64")
+
+        def f(t):
+            args = list(qkv)
+            args[which] = t
+            return T.reduce_sum(T.mul(nn.attend(*args)[0], w))
+
+        assert T.grad_check(f, qkv[which]) <= 1e-6
+
+    def test_mismatched_layouts_named(self):
+        q, k, v, _ = self._inputs(reduce=False)
+        with pytest.raises(ShapeError, match="attend"):
+            nn.attend(Tensor(q), Tensor(k.transpose(0, 1, 3, 2)), Tensor(v))
 
 
 class TestLayerNorm:

@@ -324,23 +324,53 @@ class TestTapeRelease:
             tracemalloc.stop()
         assert peak - start <= bound, (peak - start, bound)
 
-    def test_failed_sweep_cannot_be_retried(self, monkeypatch):
-        real = nn.gelu
+    def test_forward_tape_holds_only_what_backward_reads(self):
+        # Counted in token-stream tensors u = [B, T, D]; at the tiny preset the
+        # detour's [B, H, W, C] maps, its [B, N, C p^2] patches and the
+        # attention weights [B, h, T, T/4] are each about u too. A block keeps
+        # ln1 2 (normalized input, output), fusion 5 (three branches, reduce,
+        # concat), q k v 3, the K/V token reduce 3 (two gathered inputs, two
+        # short outputs), attend 2 (weights, context), out + residual 2, ln2
+        # 2, the detour 11 (gathered tokens, re, map, conv + its GELU
+        # derivative 2, conv, skip, pconv, gathered patches, embed, concat),
+        # fc1 + its GELU derivative 8 (4x wide) and fc2 + residual 2: 40.
+        # The class-row last block keeps ln1, fusion, K, V and their reduce
+        # (12), the patch embedding 4: 40 (depth - 1) + 16 = 136 u, 18.1 MB
+        # at B=8, plus 10% for norm statistics and class rows. Keeping the
+        # pre-activations, the padded conv inputs and the raw and scaled
+        # scores adds ~46 u (~24 MB in all).
+        cfg = tiny_config()
+        net = model_init(cfg, seed=3, dtype="f32")
+        img = T.uniform([8, 3, cfg.image_size, cfg.image_size], seed=4, dtype="f32")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = cross_entropy(model_forward(img, net), np.arange(8) % cfg.num_classes)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        u = 8 * cfg.tokens * cfg.embed_dim * 4
+        bound = 1.1 * (40 * (cfg.depth - 1) + 16) * u
+        assert loss.requires_grad
+        assert held <= bound, (held, bound)
 
-        def sabotaged(x):
-            out = real(x)
+    def test_failed_sweep_cannot_be_retried(self, monkeypatch):
+        real = nn.layer_norm
+
+        def sabotaged(x, p):
+            out = real(x, p)
 
             def broken(g):
                 raise FloatingPointError("closure failed")
             out._backward_fn = broken
             return out
 
-        monkeypatch.setattr(nn, "gelu", sabotaged)
+        monkeypatch.setattr(nn, "layer_norm", sabotaged)
         net, loss = _tiny_loss("f64", batch=2)
         with pytest.raises(FloatingPointError):
             T.backward(loss)
         partial = {name: p.grad.copy() for name, p in net.named_parameters() if p.grad is not None}
-        assert partial  # the head's gradients landed before the MLP's gelu failed
+        assert partial  # the head's gradients landed before the final norm failed
         with pytest.raises(ContractError, match="twice"):
             T.backward(loss)
         params = dict(net.named_parameters())
