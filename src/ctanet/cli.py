@@ -63,16 +63,18 @@ def _assemble(args):
     unknown keys."""
     run, grid = C.preset_run_config(args.preset), {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            for key, value in C.parse_config_text(fh.read()):
-                if key.startswith("grid.") and args.command == "ablate":
-                    if key[5:] not in _GRID_AXES:
-                        raise ConfigError(f"unknown grid axis {key!r}")
-                    grid[key[5:]] = value
-                else:
-                    C.set_key(run, key, value)
+        raw = D.read_file(args.config, "config file", ConfigError)
+        try:
+            text = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8 at byte {exc.start}") from None
+        for key, value in C.parse_config_text(text):
+            if key.startswith("grid.") and args.command == "ablate":
+                if key[5:] not in _GRID_AXES:
+                    raise ConfigError(f"unknown grid axis {key!r}")
+                grid[key[5:]] = value
+            else:
+                C.set_key(run, key, value)
     for kv in args.set:
         if "=" not in kv:
             raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")

@@ -110,11 +110,16 @@ def decode_cifar_records(raw: bytes, coarse_fine: bool, path: str = "<bytes>"):
     return pixels.astype(np.float32) / 255.0, labels
 
 
-def _read_binary(path: str) -> bytes:
-    if not os.path.exists(path):
-        raise DataError(f"dataset file not found: {path}")
-    with open(path, "rb") as fh:
-        return fh.read()
+def read_file(path: str, what: str, error: type = DataError) -> bytes:
+    """The bytes of the file at ``path``. A path that cannot be read (missing,
+    a directory, no permission) raises ``error`` naming ``what`` and the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
 
 
 def load_cifar(spec: DatasetSpec) -> Dataset:
@@ -128,7 +133,7 @@ def load_cifar(spec: DatasetSpec) -> Dataset:
         base = os.path.join(spec.root, CIFAR100_DIRNAME)
         files = ["train.bin"] if spec.split == "train" else ["test.bin"]
         coarse_fine, classes = True, 100
-    chunks = [decode_cifar_records(_read_binary(os.path.join(base, f)), coarse_fine, f)
+    chunks = [decode_cifar_records(read_file(os.path.join(base, f), "dataset file"), coarse_fine, f)
               for f in files]
     images = np.concatenate([c[0] for c in chunks])
     labels = np.concatenate([c[1] for c in chunks])

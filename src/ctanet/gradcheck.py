@@ -110,12 +110,13 @@ def op_checks(seed: int = 0):
         ("conv2d_gelu", LAYER_TOL,
          lambda x: _weighted(nn.conv2d_nhwc(x, conv_p, gelu=True), s(102)), _rand([1, 5, 5, 2], s(103))),
         ("gelu", LAYER_TOL, lambda x: _weighted(nn.gelu(x), s(64)), _rand([2, 5], s(65), -2.0, 2.0)),
-        # q, k and v are slices of one probe [B, h, S, 3 dk]; k enters as [B, h, dk, S]
+        # q, k and v are slices of one probe [B, S, 3 D], two heads; k and v enter as [B, D, S]
         ("attend", LAYER_TOL,
-         lambda x: _weighted(nn.attend(T.slice_(x, (..., slice(0, 2))),
-                                       T.permute(T.slice_(x, (..., slice(2, 4))), (0, 1, 3, 2)),
-                                       T.slice_(x, (..., slice(4, 6))))[0], s(104)),
-         _rand([2, 2, 3, 6], s(105), -2.0, 2.0)),
+         lambda x: _weighted(nn.attend(T.slice_(x, (..., slice(0, 4))),
+                                       T.permute(T.slice_(x, (..., slice(4, 8))), (0, 2, 1)),
+                                       T.permute(T.slice_(x, (..., slice(8, 12))), (0, 2, 1)), 2)[0],
+                             s(104)),
+         _rand([2, 3, 12], s(105), -2.0, 2.0)),
         ("cross_entropy", LAYER_TOL, lambda x: cross_entropy(x, labels), _rand([2, 4], s(66))),
         ("reconstruct", TIGHT_TOL,
          lambda x: _weighted(reconstruct(x, 4, 4), s(67)), _rand([1, 2, 4, 2, 2], s(68))),

@@ -196,12 +196,7 @@ class CtaNet:
         """Stable (name, tensor) enumeration; checkpoint order is this order."""
         out = []
 
-        def lin(prefix, p: LinearParams):
-            out.append((prefix + ".weight", p.weight))
-            if p.bias is not None:
-                out.append((prefix + ".bias", p.bias))
-
-        def conv(prefix, p: Conv2dParams):
+        def wb(prefix, p: LinearParams | Conv2dParams):
             out.append((prefix + ".weight", p.weight))
             if p.bias is not None:
                 out.append((prefix + ".bias", p.bias))
@@ -210,7 +205,7 @@ class CtaNet:
             out.append((prefix + ".gamma", p.gamma))
             out.append((prefix + ".beta", p.beta))
 
-        lin("patch_proj", self.patch_proj)
+        wb("patch_proj", self.patch_proj)
         out.append(("pos_embed", self.pos_embed))
         if self.cls_token is not None:
             out.append(("cls_token", self.cls_token))
@@ -218,25 +213,25 @@ class CtaNet:
             pre = f"blocks.{i}"
             ln(f"{pre}.ln1", b.ln1)
             for nm in ("q", "k", "v", "out"):
-                lin(f"{pre}.attn.{nm}", getattr(b.attn, nm))
+                wb(f"{pre}.attn.{nm}", getattr(b.attn, nm))
             if b.attn.fusion is not None:
                 for s, bp in zip(b.attn.fusion.scales, b.attn.fusion.branches):
-                    conv(f"{pre}.attn.fusion.k{s}", bp)
-                conv(f"{pre}.attn.fusion.reduce", b.attn.fusion.reduce)
+                    wb(f"{pre}.attn.fusion.k{s}", bp)
+                wb(f"{pre}.attn.fusion.reduce", b.attn.fusion.reduce)
             if b.attn.k_reduce is not None:
-                lin(f"{pre}.attn.k_reduce", b.attn.k_reduce)
-                lin(f"{pre}.attn.v_reduce", b.attn.v_reduce)
+                wb(f"{pre}.attn.k_reduce", b.attn.k_reduce)
+                wb(f"{pre}.attn.v_reduce", b.attn.v_reduce)
             ln(f"{pre}.ln2", b.ln2)
             if b.rrcv is not None:
-                lin(f"{pre}.rrcv.re", b.rrcv.re)
+                wb(f"{pre}.rrcv.re", b.rrcv.re)
                 for j, cp in enumerate(b.rrcv.body):
-                    conv(f"{pre}.rrcv.body{j}", cp)
-                conv(f"{pre}.rrcv.pconv", b.rrcv.pconv)
-                lin(f"{pre}.rrcv.embed", b.rrcv.embed)
-            lin(f"{pre}.mlp.fc1", b.mlp.fc1)
-            lin(f"{pre}.mlp.fc2", b.mlp.fc2)
+                    wb(f"{pre}.rrcv.body{j}", cp)
+                wb(f"{pre}.rrcv.pconv", b.rrcv.pconv)
+                wb(f"{pre}.rrcv.embed", b.rrcv.embed)
+            wb(f"{pre}.mlp.fc1", b.mlp.fc1)
+            wb(f"{pre}.mlp.fc2", b.mlp.fc2)
         ln("final_norm", self.final_norm)
-        lin("head", self.head)
+        wb("head", self.head)
         return out
 
     def parameters(self):
@@ -339,29 +334,20 @@ def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = Fals
     """Multi-head self-attention of the first `query_rows` tokens (all when
     None) over the whole sequence; the one attention core of both kinds.
 
-    K and V leave their projections as [B, D, S] with one permute each and
-    split D into heads as a view, [B, h, dk, S]; when `ap.k_reduce` is set
-    they are shortened there along the token axis. K is then the right
-    operand of the scores as it stands. Shortening after the head split
-    keeps V's gradient in head layout up to the reduce's backward, which
-    gathers it into a temporary rather than a buffer the tape holds.
-    `nn.attend` is the scores, scale, softmax and weighted sum as one tape
-    op; the weights it returns (with `return_weights`) do not record.
+    K and V leave their projections tokens last, [B, D, S], with one permute
+    each; when `ap.k_reduce` is set they are shortened there along the token
+    axis. `nn.attend` splits D into heads and is the scores, scale, softmax
+    and weighted sum as one tape op; the weights it returns (with
+    `return_weights`) do not record.
     """
-    B, S, D = x.shape
-    if D % heads:
-        raise ConfigError(f"embed dim {D} not divisible by heads {heads}")
-    dk = D // heads
-    Sq = S if query_rows is None else query_rows
-
-    xq = x if query_rows is None else T.slice_(x, (slice(None), slice(0, Sq)))
-    q = T.permute(T.reshape(nn.linear(xq, ap.q), [B, Sq, heads, dk]), (0, 2, 1, 3))
-    k = T.reshape(T.permute(nn.linear(x, ap.k), (0, 2, 1)), [B, heads, dk, S])
-    v = T.reshape(T.permute(nn.linear(x, ap.v), (0, 2, 1)), [B, heads, dk, S])
+    xq = x if query_rows is None else T.slice_(x, (slice(None), slice(0, query_rows)))
+    q = nn.linear(xq, ap.q)                                # [B, Sq, D]
+    k = T.permute(nn.linear(x, ap.k), (0, 2, 1))           # [B, D, S]
+    v = T.permute(nn.linear(x, ap.v), (0, 2, 1))
     if ap.k_reduce is not None:
-        k = nn.linear(k, ap.k_reduce)                     # [B, h, dk, S_r]
+        k = nn.linear(k, ap.k_reduce)                      # [B, D, S_r]
         v = nn.linear(v, ap.v_reduce)
-    ctx, weights = nn.attend(q, k, T.permute(v, (0, 1, 3, 2)))   # ctx [B, Sq, D]
+    ctx, weights = nn.attend(q, k, v, heads)               # ctx [B, Sq, D]
     y = nn.linear(ctx, ap.out)
     return (y, weights) if return_weights else y
 

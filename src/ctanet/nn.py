@@ -380,49 +380,57 @@ def gelu(x: Tensor) -> Tensor:
     return T._make(y, (x,), backward, "gelu")
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor):
-    """Scaled dot-product attention as one tape op: ctx = softmax(q k / sqrt(dk)) v.
+def attend(q: Tensor, k: Tensor, v: Tensor, heads: int):
+    """Multi-head scaled dot-product attention as one tape op:
+    ctx = softmax(q k / sqrt(dk)) v in each head.
 
-    q [B, h, Sq, dk]; k [B, h, dk, S], the scores' right operand as it
-    stands; v [B, h, S, dk]. Returns (ctx, weights): ctx [B, Sq, h*dk] with
-    the heads side by side, and the weights P [B, h, Sq, S] as a
-    non-recording tensor. The scale and the softmax run in place in the
-    scores' buffer, and the tape keeps only P.
+    q [B, Sq, D] as its projection leaves it; k and v [B, D, S], tokens
+    last. D splits into `heads` heads of dk as views, so the scores' right
+    operand is k [B, h, dk, S] as it stands. Returns (ctx, weights): ctx
+    [B, Sq, D] with the heads side by side, and the weights P [B, h, Sq, S]
+    as a non-recording tensor. The scale and the softmax run in place in
+    the scores' buffer, the tape keeps only P, and each gradient returns in
+    its input's layout.
     """
-    if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
-        raise ShapeError(f"attend expects rank-4 q, k, v, got {list(q.shape)}, "
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError(f"attend expects rank-3 q, k, v, got {list(q.shape)}, "
                          f"{list(k.shape)}, {list(v.shape)}")
-    B, h, Sq, dk = q.shape
-    S = k.shape[3]
-    if k.shape != (B, h, dk, S) or v.shape != (B, h, S, dk):
-        raise ShapeError(f"attend: q {list(q.shape)} needs k [{B}, {h}, {dk}, S] and "
-                         f"v [{B}, {h}, S, {dk}], got {list(k.shape)} and {list(v.shape)}")
+    B, Sq, D = q.shape
+    S = k.shape[2]
+    if k.shape != (B, D, S) or v.shape != (B, D, S) or heads < 1 or D % heads:
+        raise ShapeError(f"attend: q [B, Sq, D] {list(q.shape)} needs k and v [{B}, {D}, S] "
+                         f"and D divisible by {heads} heads, got {list(k.shape)} and {list(v.shape)}")
     T._check_same_dtype(q, k, "attend")
     T._check_same_dtype(q, v, "attend")
+    dk = D // heads
+    qh = q.data.reshape(B, Sq, heads, dk).transpose(0, 2, 1, 3)    # [B, h, Sq, dk]
+    kh = k.data.reshape(B, heads, dk, S)
+    vt = v.data.reshape(B, heads, dk, S)                           # v [B, h, S, dk] transposed
     s = np.asarray(1.0 / math.sqrt(dk), dtype=q.data.dtype)
-    p = np.matmul(q.data, k.data)
+    p = np.matmul(qh, kh)
     p *= s
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.empty((B, Sq, h, dk), dtype=p.dtype)
-    np.matmul(p, v.data, out=ctx.transpose(0, 2, 1, 3))
+    ctx = np.empty((B, Sq, heads, dk), dtype=p.dtype)
+    np.matmul(p, np.swapaxes(vt, -1, -2), out=ctx.transpose(0, 2, 1, 3))
 
     def backward(g):
-        g = g.reshape(B, Sq, h, dk).transpose(0, 2, 1, 3)
+        g = g.reshape(B, Sq, heads, dk).transpose(0, 2, 1, 3)
         if v.requires_grad:
-            T._accumulate(v, np.matmul(np.swapaxes(p, -1, -2), g))
+            T._accumulate(v, np.matmul(np.swapaxes(p, -1, -2), g).swapaxes(-1, -2).reshape(B, D, S))
         # dS = (dP - <dP, P>) * P * s, the dot product over each row
-        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds = np.matmul(g, vt)
         ds -= np.einsum("...i,...i->...", ds, p)[..., None]
         ds *= p
         ds *= s
         if q.requires_grad:
-            T._accumulate(q, np.matmul(ds, np.swapaxes(k.data, -1, -2)))
+            dq = np.matmul(ds, np.swapaxes(kh, -1, -2))
+            T._accumulate(q, dq.transpose(0, 2, 1, 3).reshape(B, Sq, D))
         if k.requires_grad:
-            T._accumulate(k, np.matmul(np.swapaxes(q.data, -1, -2), ds))
+            T._accumulate(k, np.matmul(np.swapaxes(qh, -1, -2), ds).reshape(B, D, S))
 
-    return T._make(ctx.reshape(B, Sq, h * dk), (q, k, v), backward, "attend"), Tensor(p)
+    return T._make(ctx.reshape(B, Sq, D), (q, k, v), backward, "attend"), Tensor(p)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

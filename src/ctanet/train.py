@@ -301,10 +301,7 @@ def load_checkpoint(path: str):
 
     A file that does not decode raises DataError.
     """
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint not found: {path}")
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read(), path)
+    rd = _Reader(D.read_file(path, "checkpoint"), path)
     if rd.take(4) != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad magic, not a checkpoint")
     (version,) = struct.unpack("<I", rd.take(4))
@@ -382,7 +379,8 @@ def train_run(net: CtaNet, state: OptimizerState, cfg: TrainConfig,
     if metrics_path and start_epoch == 0:
         with open(metrics_path, "w") as fh:
             fh.write(METRICS_HEADER + "\n")
-    for epoch in range(start_epoch, min(stop_epoch or cfg.epochs, cfg.epochs)):
+    stop = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
+    for epoch in range(start_epoch, stop):
         t0 = time.time()
         tr_loss, tr_top1, _ = train_epoch(net, train_ds, state, cfg, epoch, aug, target_size)
         if val_ds is not None:

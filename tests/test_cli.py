@@ -330,6 +330,23 @@ class TestTrainEval:
         assert run_cli(["eval", "--preset", "tiny", *MICRO, "--checkpoint", path]) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case,want", [("checkpoint_dir", 3), ("config_dir", 2),
+                                           ("config_not_utf8", 2), ("dataset_dir", 3)])
+    def test_unreadable_input_is_named(self, tmp_path, capsys, case, want):
+        path = tmp_path / "cifar-10-batches-bin" / "data_batch_1.bin"
+        if case == "config_not_utf8":
+            path = tmp_path / "run.cfg"
+            path.write_bytes(b"model.depth = 1\n\xff\xfe\n")
+        else:
+            path.mkdir(parents=True)
+        run = ["train", "--preset", "tiny", *MICRO, "--out-dir", str(tmp_path / "runs")]
+        argv = {"checkpoint_dir": ["eval", "--preset", "tiny", *MICRO, "--checkpoint", str(path)],
+                "dataset_dir": [*run, "--set", "data.kind=cifar10", "--set", f"data.root={tmp_path}"],
+                }.get(case, [*run, "--config", str(path)])
+        assert run_cli(argv) == want
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
     def test_subset_flag(self, tmp_path, capsys):
         code = run_cli(["train", "--preset", "tiny", *MICRO, "--subset", "24",
                         "--out-dir", str(tmp_path / "runs")])

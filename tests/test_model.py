@@ -344,6 +344,23 @@ class TestAttention:
         with pytest.raises(ConfigError):
             lmf_mhsa(T.ones([1, 5, 64], "f64"), net.blocks[0].attn, bad)
 
+    @pytest.mark.parametrize("query_rows", [None, 1])
+    @pytest.mark.parametrize("kv_reduction", [1, 4])
+    def test_head_layout_stays_inside_attend(self, kv_reduction, query_rows):
+        # The recorded ops of one call: K and V each permute to tokens last,
+        # and nn.attend splits and merges the heads without tape nodes.
+        cfg = tiny_config(kernel_scales=(), kv_reduction=kv_reduction, depth=1)
+        net = model_init(cfg, seed=18, dtype="f64")
+        x = T.uniform([2, cfg.tokens, 64], seed=26, dtype="f64", requires_grad=True)
+        ops, stack, seen = [], [mhsa(x, net.blocks[0].attn, cfg.heads, query_rows=query_rows)], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._parents:
+                seen.add(id(node))
+                ops.append(node._op)
+                stack.extend(node._parents)
+        assert (ops.count("reshape"), ops.count("permute"), ops.count("attend")) == (0, 2, 1)
+
 
 class TestBlockAndModel:
     def test_residual_identity_with_zeroed_outputs(self):

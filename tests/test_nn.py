@@ -265,15 +265,14 @@ class TestFusedGelu:
 
 
 class TestAttend:
-    """One tape op for the scores, scale, softmax and weighted sum."""
+    """One tape op for the head split, scores, scale, softmax and weighted sum."""
 
     B, S, D, H = 2, 6, 8, 2
 
     def _inputs(self, reduce):
-        """q, k, v in attend's layouts, and the oracle's arguments with an
-        identity output projection, so the oracle returns the context."""
+        """q [B, S, D], k and v [B, D, S'] as attend takes them, and the
+        oracle's output with an identity output projection: the context."""
         B, S, D, H = self.B, self.S, self.D, self.H
-        dk = D // H
         rnd = lambda shape, seed: T.uniform(shape, -1, 1, seed=seed, dtype="f64").data
         x = rnd([B, S, D], 1)
         wq, wk, wv = (rnd([D, D], 2 + i) for i in range(3))
@@ -285,9 +284,7 @@ class TestAttend:
             return y if r is None else y @ r[0].T + r[1]
 
         kr, vr = (None, None) if kv_reduce is None else (kv_reduce[:2], kv_reduce[2:])
-        q = (x @ wq.T + bq).reshape(B, S, H, dk).transpose(0, 2, 1, 3)
-        k = tokens_last(wk, bk, kr).reshape(B, H, dk, -1)
-        v = tokens_last(wv, bv, vr).reshape(B, H, dk, -1).transpose(0, 1, 3, 2)
+        q, k, v = x @ wq.T + bq, tokens_last(wk, bk, kr), tokens_last(wv, bv, vr)
         oracle = (x, wq, bq, wk, bk, wv, bv, np.eye(D), np.zeros(D))
         return q, k, v, textbook_attention(*oracle, heads=H, kv_reduce=kv_reduce)
 
@@ -296,10 +293,10 @@ class TestAttend:
     def test_matches_textbook_attention(self, reduce, query_rows):
         q, k, v, want = self._inputs(reduce)
         Sq = query_rows or self.S
-        ctx, weights = nn.attend(Tensor(q[:, :, :Sq]), Tensor(k), Tensor(v))
+        ctx, weights = nn.attend(Tensor(q[:, :Sq]), Tensor(k), Tensor(v), self.H)
         assert ctx.shape == (self.B, Sq, self.D)
         assert np.abs(ctx.data - want[:, :Sq]).max() <= 1e-12
-        assert weights.shape == (self.B, self.H, Sq, k.shape[3]) and not weights.requires_grad
+        assert weights.shape == (self.B, self.H, Sq, k.shape[2]) and not weights.requires_grad
         assert np.abs(weights.data.sum(-1) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("which", [0, 1, 2])
@@ -310,14 +307,16 @@ class TestAttend:
         def f(t):
             args = list(qkv)
             args[which] = t
-            return T.reduce_sum(T.mul(nn.attend(*args)[0], w))
+            return T.reduce_sum(T.mul(nn.attend(*args, self.H)[0], w))
 
         assert T.grad_check(f, qkv[which]) <= 1e-6
 
     def test_mismatched_layouts_named(self):
         q, k, v, _ = self._inputs(reduce=False)
-        with pytest.raises(ShapeError, match="attend"):
-            nn.attend(Tensor(q), Tensor(k.transpose(0, 1, 3, 2)), Tensor(v))
+        named = r"attend: q \[B, Sq, D\] .* needs k and v \[2, 8, S\]"
+        for k_in, heads in ((k.transpose(0, 2, 1), self.H), (k, 3)):   # tokens first; 3 heads for D = 8
+            with pytest.raises(ShapeError, match=named):
+                nn.attend(Tensor(q), Tensor(k_in), Tensor(v), heads)
 
 
 class TestLayerNorm:

@@ -229,6 +229,13 @@ class TestCheckpoints:
         assert lines[0] == METRICS_HEADER
         assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2, 3]
 
+    def test_stop_epoch_zero_trains_nothing(self):
+        cfg, net, ds = micro_setup(seed=13, dtype="f32", depth=1, synth=32)
+        before = [p.data.copy() for p in net.parameters()]
+        tcfg = TrainConfig(epochs=2, batch_size=16, warmup_epochs=0, seed=13)
+        assert train_run(net, OptimizerState.for_model(net), tcfg, ds, None, stop_epoch=0) == []
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, net.parameters()))
+
     def test_metrics_csv_schema(self, tmp_path):
         cfg, net, ds = micro_setup(seed=12, dtype="f32", depth=1, synth=48)
         tcfg = TrainConfig(epochs=1, batch_size=16, warmup_epochs=0, seed=12)
