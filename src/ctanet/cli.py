@@ -93,9 +93,12 @@ def build_run(args) -> C.RunConfig:
 
 
 def _make_run_dir(path: str, run: C.RunConfig) -> str:
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "config.echo"), "w") as fh:
-        fh.write(C.effective_text(run))
+    try:
+        os.makedirs(path, exist_ok=True)
+        with open(os.path.join(path, "config.echo"), "w") as fh:
+            fh.write(C.effective_text(run))
+    except OSError as exc:
+        raise ConfigError(f"cannot write run directory {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -122,6 +125,12 @@ def cmd_analyze(args) -> int:
     run = build_run(args)
     model_rep = costs.count_costs(run.model, batch=args.batch)
     lmf_rep, base_rep = costs.attention_twins(run.model, batch=args.batch)
+    if args.out:    # written first, so an unwritable path stops the command before any output
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(costs.emit_table(model_rep, args.format))
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     print(costs.emit_table(model_rep))
     print(costs.emit_table(base_rep))
     p_red, f_red = costs.reductions(lmf_rep, base_rep)
@@ -134,8 +143,6 @@ def cmd_analyze(args) -> int:
     print(f"  compute: {hc(base_rep.total_flops)} FLOPs -> {hc(lmf_rep.total_flops)} FLOPs"
           f"   reduction {f_red:.2f}%  (1 MAC = 2 FLOPs)")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(costs.emit_table(model_rep, args.format))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -214,12 +221,14 @@ def cmd_ablate(args) -> int:
 
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     out_root = os.path.join(args.out_dir, f"ablation-{stamp}")
+    # every cell's directory is made before the first cell trains
+    run_dirs = {cell: _make_run_dir(os.path.join(out_root, cell), run) for cell, (_, run) in cells.items()}
     header = ",".join(["cell", *_GRID_AXES, "top1", "params", "flops", "seconds"])
     lines = [header]
     print(header)
     for cell, (_, run) in cells.items():
         t0 = time.time()
-        rows = _train(run, _make_run_dir(os.path.join(out_root, cell), run))
+        rows = _train(run, run_dirs[cell])
         secs = time.time() - t0
         rep = costs.count_costs(run.model)
         values = [C.format_value(C.get_key(run, key)).replace(",", "+") for key in _GRID_AXES.values()]

@@ -305,9 +305,10 @@ def resize_array(images: np.ndarray, target: int) -> np.ndarray:
     x0 = np.clip(np.floor(sx).astype(np.int64), 0, W - 1)
     y1, x1 = np.minimum(y0 + 1, H - 1), np.minimum(x0 + 1, W - 1)
     fy, fx = sy - y0, sx - x0
-    top = images[:, :, y0][:, :, :, x0] * (1 - fx) + images[:, :, y0][:, :, :, x1] * fx
-    bot = images[:, :, y1][:, :, :, x0] * (1 - fx) + images[:, :, y1][:, :, :, x1] * fx
-    out = top * (1 - fy)[:, None] + bot * fy[:, None]
+    # Blend along the width once per source row, then gather and blend the
+    # rows: the same products and sums as blending every gathered row pair.
+    rows = images[:, :, :, x0] * (1 - fx) + images[:, :, :, x1] * fx
+    out = rows[:, :, y0] * (1 - fy)[:, None] + rows[:, :, y1] * fy[:, None]
     return out.astype(images.dtype)
 
 

@@ -104,6 +104,7 @@ def _conv_checks(x: Tensor, p: Conv2dParams):
         raise ShapeError("non-square conv kernels are not supported")
     if k % 2 == 0:
         raise ShapeError(f"only odd kernel sizes are supported, got {k}")
+    T._check_same_dtype(x, p.weight, "conv2d")
     B, H, W, C = x.shape
     if C != cg * p.groups:
         raise ShapeError(f"conv2d channel mismatch: input has {C}, weight expects {cg * p.groups}")
@@ -179,14 +180,18 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams, gelu: bool = False) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
     if gelu:
         out, dgelu = _gelu(out, T.recording(*parents), out=out)
+    rx, rw, rb = (t is not None and t.requires_grad for t in (x, w, b))
+    xd = x.data if rw else None          # dW pads it again
+    n = len(parents)
 
     def backward(g):
         if gelu:
             g = g * dgelu
-        if b is not None and b.requires_grad:
-            T._accumulate(b, g.reshape(-1, OC).sum(axis=0))
-        if w.requires_grad:
-            xp = _pad_hw(x.data, pad)
+        dx = dw = db = None
+        if rb:
+            db = g.reshape(-1, OC).sum(axis=0)
+        if rw:
+            xp = _pad_hw(xd, pad)
             if depthwise:
                 dw = np.einsum("bhwcij,bhwc->cij", _windows(xp, k, s), g).reshape(C, 1, k, k)
             else:
@@ -195,8 +200,7 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams, gelu: bool = False) -> Tensor:
                                 for i, j in taps]).reshape(k, k, C, OC)
                 dw = np.concatenate([dwt[:, :, gi * Cg:(gi + 1) * Cg, gi * Og:(gi + 1) * Og]
                                      for gi in range(G)], axis=3).transpose(3, 2, 0, 1)
-            T._accumulate(w, dw)
-        if x.requires_grad:
+        if rx:
             # dx is the stride-1 correlation of the (dilated, zero-padded)
             # output gradient with the flipped kernel.
             if s > 1:
@@ -204,7 +208,8 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams, gelu: bool = False) -> Tensor:
                 g1[:, ::s, ::s] = g
                 g = g1
             gp = _pad_hw(g, k - 1)[:, pad:pad + H + k - 1, pad:pad + W + k - 1]
-            T._accumulate(x, correlate(gp, wflip, 1, H, W))
+            dx = correlate(gp, wflip, 1, H, W)
+        return (dx, dw, db)[:n]
 
     return T._make(out, parents, backward, "conv2d")
 
@@ -281,19 +286,22 @@ def linear(x: Tensor | Sequence[Tensor], p: LinearParams | Conv2dParams,
     parents = xs + ((w,) if b is None else (w, b))
     if gelu:
         out, dgelu = _gelu(out, T.recording(*parents), out=out)
+    rw, rb = w.requires_grad, b is not None and b.requires_grad
+    w_shape, x_shapes = w.shape, [t.shape if t.requires_grad else None for t in xs]
+    saved_x2s = x2s if rw else None      # dW reads the inputs
+    n = len(parents)
 
     def backward(g):
         g2 = g.reshape(-1, out_dim)
         if gelu:
             g2 = g2 * dgelu
-        if b is not None and b.requires_grad:
-            T._accumulate(b, g2.sum(axis=0))
-        if w.requires_grad:
-            dw = np.concatenate([g2.T @ x2 for x2 in x2s], axis=1) if len(xs) > 1 else g2.T @ x2s[0]
-            T._accumulate(w, dw if wd is w.data else dw.reshape(w.shape))   # a 1x1 conv weight
-        for t, wk in zip(xs, ws):
-            if t.requires_grad:
-                T._accumulate(t, (g2 @ wk).reshape(t.shape))
+        db = g2.sum(axis=0) if rb else None
+        dw = None
+        if rw:
+            dw = (np.concatenate([g2.T @ x2 for x2 in saved_x2s], axis=1) if len(saved_x2s) > 1
+                  else g2.T @ saved_x2s[0]).reshape(w_shape)   # [out, in, 1, 1] for a 1x1 conv
+        dxs = [None if s is None else (g2 @ wk).reshape(s) for s, wk in zip(x_shapes, ws)]
+        return (*dxs, dw, db)[:n]
 
     return T._make(out.reshape(xs[0].shape[:-1] + (out_dim,)), parents, backward, "linear")
 
@@ -309,6 +317,7 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     if x.shape[-1] != dim:
         raise ShapeError(f"layer_norm expects last axis {dim}, got {list(x.shape)}")
     gamma, beta, eps = p.gamma, p.beta, p.eps
+    T._check_same_dtype(x, gamma, "layer_norm")
 
     x2 = x.data.reshape(-1, dim)
     xhat = x2 - x2.mean(axis=1, keepdims=True)
@@ -317,21 +326,22 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     # backward reads xhat, so the output gets its own buffer only when recording
     out = xhat * gamma.data if T.recording(x, gamma, beta) else np.multiply(xhat, gamma.data, out=xhat)
     out += beta.data
+    rx, rg, rb = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    shape, gd = x.shape, gamma.data
 
     def backward(g):
         g2 = g.reshape(-1, dim)
-        if gamma.requires_grad:
-            T._accumulate(gamma, np.einsum("ij,ij->j", g2, xhat))
-        if beta.requires_grad:
-            T._accumulate(beta, g2.sum(axis=0))
-        if x.requires_grad:
+        dx = None
+        if rx:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
-            dxhat = g2 * gamma.data
+            dxhat = g2 * gd
             dx = xhat * (_row_dot(dxhat, xhat) / -dim)
             dx += dxhat
             dx -= dxhat.mean(axis=1, keepdims=True)
             dx *= inv
-            T._accumulate(x, dx.reshape(x.shape))
+            dx = dx.reshape(shape)
+        return (dx, np.einsum("ij,ij->j", g2, xhat) if rg else None,
+                g2.sum(axis=0) if rb else None)
 
     return T._make(out.reshape(x.shape), (x, gamma, beta), backward, "layer_norm")
 
@@ -375,7 +385,7 @@ def gelu(x: Tensor) -> Tensor:
     y, d = _gelu(x.data, T.recording(x))
 
     def backward(g):
-        T._accumulate(x, g * d)
+        return (g * d,)
 
     return T._make(y, (x,), backward, "gelu")
 
@@ -414,21 +424,27 @@ def attend(q: Tensor, k: Tensor, v: Tensor, heads: int):
     p /= p.sum(axis=-1, keepdims=True)
     ctx = np.empty((B, Sq, heads, dk), dtype=p.dtype)
     np.matmul(p, np.swapaxes(vt, -1, -2), out=ctx.transpose(0, 2, 1, 3))
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+    saved_kh = kh if rq else None         # dq reads k, dk reads q, and both read v
+    saved_qh = qh if rk else None
+    saved_vt = vt if rq or rk else None
 
     def backward(g):
         g = g.reshape(B, Sq, heads, dk).transpose(0, 2, 1, 3)
-        if v.requires_grad:
-            T._accumulate(v, np.matmul(np.swapaxes(p, -1, -2), g).swapaxes(-1, -2).reshape(B, D, S))
-        # dS = (dP - <dP, P>) * P * s, the dot product over each row
-        ds = np.matmul(g, vt)
-        ds -= np.einsum("...i,...i->...", ds, p)[..., None]
-        ds *= p
-        ds *= s
-        if q.requires_grad:
-            dq = np.matmul(ds, np.swapaxes(kh, -1, -2))
-            T._accumulate(q, dq.transpose(0, 2, 1, 3).reshape(B, Sq, D))
-        if k.requires_grad:
-            T._accumulate(k, np.matmul(np.swapaxes(qh, -1, -2), ds).reshape(B, D, S))
+        gq = gk = gv = None
+        if rv:
+            gv = np.matmul(np.swapaxes(p, -1, -2), g).swapaxes(-1, -2).reshape(B, D, S)
+        if rq or rk:
+            # dS = (dP - <dP, P>) * P * s, the dot product over each row
+            ds = np.matmul(g, saved_vt)
+            ds -= np.einsum("...i,...i->...", ds, p)[..., None]
+            ds *= p
+            ds *= s
+            if rq:
+                gq = np.matmul(ds, np.swapaxes(saved_kh, -1, -2)).transpose(0, 2, 1, 3).reshape(B, Sq, D)
+            if rk:
+                gk = np.matmul(np.swapaxes(saved_qh, -1, -2), ds).reshape(B, D, S)
+        return gq, gk, gv
 
     return T._make(ctx.reshape(B, Sq, D), (q, k, v), backward, "attend"), Tensor(p)
 
@@ -453,9 +469,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     out = np.asarray((lse - picked).mean(), dtype=z.dtype)
 
     def backward(g):
-        if logits.requires_grad:
-            p = e / se
-            p[np.arange(B), lab] -= 1.0
-            T._accumulate(logits, p * (np.asarray(g) / B))
+        p = e / se
+        p[np.arange(B), lab] -= 1.0
+        return (p * (np.asarray(g) / B),)
 
     return T._make(out, (logits,), backward, "cross_entropy")

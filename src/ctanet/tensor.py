@@ -5,20 +5,27 @@ Design points, fixed for the whole package:
 - Tape values are never mutated. An op may return a view of its input
   (``reshape``, ``permute`` and ``slice_`` do; ``expand`` returns a
   read-only broadcast), and a gradient may be shared by several tensors,
-  so ``_accumulate`` adds out of place. In-place writes go only into a
-  buffer the writing function has just allocated, or into a leaf's
-  ``.data`` while no tape reads it: the AdamW step after backward, and
-  ``grad_check_params`` between its no-grad forwards.
-- The tape is implicit: each non-leaf tensor keeps its parents and a
-  closure that scatters the incoming gradient to them. ``backward`` does
-  an iterative topological walk (no recursion limit issues on deep nets).
+  so ``backward`` adds gradients out of place. In-place writes go only
+  into a buffer the writing function has just allocated, or into a
+  leaf's ``.data`` while no tape reads it: the AdamW step after backward,
+  and ``grad_check_params`` between its no-grad forwards.
+- The graph is apart from the values. A recorded op's output keeps its
+  ``data`` and points to a small ``Node``: the op name, the parents'
+  nodes, a closure and the gradient. A leaf that requires grad is its own
+  node. Nodes link only to nodes, and a closure captures only the arrays,
+  shapes and flags its backward reads, so an output value lives only
+  while the caller, or a closure that saved it, holds it. ``backward``
+  does an iterative topological walk (no recursion limit issues on deep
+  nets).
 - The tape is released as the sweep goes. Its peak is at the start of
-  ``backward``: every recorded value and every buffer a closure saved.
-  A node's consumers all run before it, so once its own closure has run
-  it drops its gradient, closure and parent links, and its value and
-  saved buffers are freed. Mid-sweep the tape holds the nodes not yet
-  swept, the gradients waiting at the sweep's frontier and the leaves'
-  gradients.
+  ``backward``: every buffer a closure saved. A node's consumers all run
+  before it, so once its own closure has run it drops its gradient,
+  closure and parent links, and the buffers only that closure saved are
+  freed. Mid-sweep the tape holds the nodes not yet swept, the gradients
+  waiting at the sweep's frontier and the leaves' gradients.
+- Under ``check_finite()`` the first op whose output is non-finite raises
+  ``NumericsError`` naming it; ``grad_check`` and ``grad_check_params``
+  run their recorded forward under it.
 - f64 is the verification dtype, f32 the training dtype. Binary ops
   require matching dtypes; Python scalars adopt the tensor's dtype.
 - Random content comes from an own counter-based 64-bit generator
@@ -72,22 +79,62 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+_CHECK_FINITE = False
+
+
+@contextmanager
+def check_finite():
+    """Inside the block, the first op whose output holds a non-finite value
+    raises ``NumericsError`` naming it. Outside, the check is one branch per op."""
+    global _CHECK_FINITE
+    prev = _CHECK_FINITE
+    _CHECK_FINITE = True
+    try:
+        yield
+    finally:
+        _CHECK_FINITE = prev
+
+
+class Node:
+    """One recorded op on the tape: its name, its parents' graph nodes, the
+    closure that maps its gradient to theirs, and its gradient.
+
+    A parent's entry is its ``Node``, the parent tensor itself when it is a
+    leaf that requires grad, or None when it needs no gradient. No node
+    and no closure holds a parent ``Tensor`` as a value: a closure captures
+    only the arrays, shapes and flags its backward reads.
+    """
+
+    __slots__ = ("op", "parents", "backward_fn", "grad")
+
+    def __init__(self, op: str, parents: tuple, backward_fn: Callable):
+        self.op = op
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.grad: Optional[np.ndarray] = None
+
+
 class Tensor:
-    """A dense n-d value, optionally recording the op that produced it."""
+    """A dense n-d value; a recorded op's output points to its op's ``Node``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backward_fn=None, _op="leaf"):
+    def __init__(self, data, requires_grad: bool = False, *, _node: Optional[Node] = None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward_fn = _backward_fn
-        self._op = _op
-        self._backward_done = False
+        self.grad: Optional[np.ndarray] = None   # a leaf's gradient
+        self.requires_grad = requires_grad or _node is not None
+        self._node = _node
+
+    @property
+    def node(self):
+        """This tensor's graph node: its op's ``Node`` if recorded, the
+        tensor itself if it is a leaf that requires grad, else None."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else None
 
     # -- basic introspection ------------------------------------------------
 
@@ -116,14 +163,8 @@ class Tensor:
         return self.data
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={list(self.shape)}, dtype={self.dtype}, op={self._op!r}, requires_grad={self.requires_grad})"
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.asarray(g, dtype=t.data.dtype)
-    else:
-        t.grad = t.grad + g
+        op = "leaf" if self._node is None else self._node.op
+        return f"Tensor(shape={list(self.shape)}, dtype={self.dtype}, op={op!r}, requires_grad={self.requires_grad})"
 
 
 def recording(*parents: Tensor) -> bool:
@@ -132,9 +173,14 @@ def recording(*parents: Tensor) -> bool:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable, op: str) -> Tensor:
+    """The output of ``op``. While recording it points to a new node that
+    links to the parents' nodes; ``backward_fn(g)`` returns one gradient per
+    parent, None for a parent that needs none."""
+    if _CHECK_FINITE and not np.isfinite(data).all():
+        raise NumericsError(f"non-finite values produced by op {op!r}")
     if recording(*parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn, _op=op)
-    return Tensor(data, requires_grad=False, _op=op)
+        return Tensor(data, _node=Node(op, tuple([p.node for p in parents]), backward_fn))
+    return Tensor(data)
 
 
 def _coerce(x, like: Tensor) -> Tensor:
@@ -237,12 +283,10 @@ def add(a: Tensor, b) -> Tensor:
     _check_same_dtype(a, b, "add")
     _broadcast_check(a, b, "add")
     out_data = a.data + b.data
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        return _unbroadcast(g, sa) if ra else None, _unbroadcast(g, sb) if rb else None
 
     return _make(out_data, (a, b), backward, "add")
 
@@ -252,12 +296,10 @@ def sub(a: Tensor, b) -> Tensor:
     _check_same_dtype(a, b, "sub")
     _broadcast_check(a, b, "sub")
     out_data = a.data - b.data
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
+        return _unbroadcast(g, sa) if ra else None, _unbroadcast(-g, sb) if rb else None
 
     return _make(out_data, (a, b), backward, "sub")
 
@@ -267,12 +309,13 @@ def mul(a: Tensor, b) -> Tensor:
     _check_same_dtype(a, b, "mul")
     _broadcast_check(a, b, "mul")
     out_data = a.data * b.data
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None      # each gradient reads the other factor
+    bd = b.data if a.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
     return _make(out_data, (a, b), backward, "mul")
 
@@ -283,13 +326,13 @@ def div(a: Tensor, b) -> Tensor:
     _broadcast_check(a, b, "div")
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = a.data / b.data
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
+    ad, bd = a.data if rb else None, b.data
 
     def backward(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            return (_unbroadcast(g / bd, sa) if ra else None,
+                    _unbroadcast(-g * ad / (bd * bd), sb) if rb else None)
 
     return _make(out_data, (a, b), backward, "div")
 
@@ -300,8 +343,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, -g)
+        return (-g,)
 
     return _make(-a.data, (a,), backward, "neg")
 
@@ -312,13 +354,13 @@ def maximum(a: Tensor, b) -> Tensor:
     _check_same_dtype(a, b, "maximum")
     _broadcast_check(a, b, "maximum")
     out_data = np.maximum(a.data, b.data)
+    ad, bd = a.data, b.data
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def backward(g):
-        take_a = a.data >= b.data
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * take_a, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * ~take_a, b.shape))
+        take_a = ad >= bd
+        return (_unbroadcast(g * take_a, sa) if ra else None,
+                _unbroadcast(g * ~take_a, sb) if rb else None)
 
     return _make(out_data, (a, b), backward, "maximum")
 
@@ -328,8 +370,7 @@ def exp(a: Tensor) -> Tensor:
         out_data = np.exp(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data)
+        return (g * out_data,)
 
     return _make(out_data, (a,), backward, "exp")
 
@@ -337,11 +378,11 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = np.log(a.data)
+    ad = a.data
 
     def backward(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            if a.requires_grad:
-                _accumulate(a, g / a.data)
+            return (g / ad,)
 
     return _make(out_data, (a,), backward, "log")
 
@@ -352,8 +393,7 @@ def sqrt(a: Tensor) -> Tensor:
 
     def backward(g):
         with np.errstate(divide="ignore", invalid="ignore"):
-            if a.requires_grad:
-                _accumulate(a, g * 0.5 / out_data)
+            return (g * 0.5 / out_data,)
 
     return _make(out_data, (a,), backward, "sqrt")
 
@@ -362,8 +402,7 @@ def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (1.0 - out_data * out_data))
+        return (g * (1.0 - out_data * out_data),)
 
     return _make(out_data, (a,), backward, "tanh")
 
@@ -383,14 +422,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if sa != sb and sa != 1 and sb != 1:
                 raise ShapeError(f"matmul batch axes do not broadcast: {list(a.shape)} x {list(b.shape)}")
     out_data = np.matmul(a.data, b.data)
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None      # each gradient reads the other operand
+    bd = b.data if a.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.shape))
+        return (None if bd is None else _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa),
+                None if ad is None else _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb))
 
     return _make(out_data, (a, b), backward, "matmul")
 
@@ -403,12 +441,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            # out * (g - <g, out>), the dot product taken along ``axis``
-            dot = np.einsum("...i,...i->...", np.moveaxis(g, axis, -1), np.moveaxis(out_data, axis, -1))
-            ga = g - np.expand_dims(dot, axis)
-            ga *= out_data
-            _accumulate(a, ga)
+        # out * (g - <g, out>), the dot product taken along ``axis``
+        dot = np.einsum("...i,...i->...", np.moveaxis(g, axis, -1), np.moveaxis(out_data, axis, -1))
+        ga = g - np.expand_dims(dot, axis)
+        ga *= out_data
+        return (ga,)
 
     return _make(out_data, (a,), backward, "softmax")
 
@@ -428,18 +465,21 @@ def _norm_axis(axis, ndim: int):
     return axis
 
 
+def _unreduce(g, axis, keepdims: bool, ndim: int) -> np.ndarray:
+    """Put back the axes a reduction dropped, so ``g`` broadcasts against its input."""
+    g = np.asarray(g)
+    if keepdims:
+        return g
+    return g.reshape((1,) * ndim) if axis is None else np.expand_dims(g, axis)
+
+
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, a.ndim)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
-        if a.requires_grad:
-            gg = g
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
-            elif axis is None and not keepdims:
-                gg = np.asarray(gg).reshape((1,) * a.ndim)
-            _accumulate(a, np.broadcast_to(gg, a.shape))
+        return (np.broadcast_to(_unreduce(g, axis, keepdims, len(shape)), shape),)
 
     return _make(out_data, (a,), backward, "sum")
 
@@ -448,15 +488,10 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(axis, a.ndim)
     n = a.size if axis is None else int(np.prod([a.shape[ax] for ax in axis]))
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
-        if a.requires_grad:
-            gg = np.asarray(g) / n
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
-            elif axis is None and not keepdims:
-                gg = gg.reshape((1,) * a.ndim)
-            _accumulate(a, np.broadcast_to(gg, a.shape))
+        return (np.broadcast_to(_unreduce(np.asarray(g) / n, axis, keepdims, len(shape)), shape),)
 
     return _make(out_data, (a,), backward, "mean")
 
@@ -470,13 +505,7 @@ def reduce_var(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if a.requires_grad:
-            gg = np.asarray(g)
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
-            elif axis is None and not keepdims:
-                gg = gg.reshape((1,) * a.ndim)
-            _accumulate(a, (2.0 / n) * centered * gg)
+        return ((2.0 / n) * centered * _unreduce(g, axis, keepdims, centered.ndim),)
 
     return _make(out_data, (a,), backward, "var")
 
@@ -493,10 +522,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {list(a.shape)} to {list(shape)}")
     out_data = a.data.reshape(shape)
+    sa = a.shape
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.shape))
+        return (g.reshape(sa),)
 
     return _make(out_data, (a,), backward, "reshape")
 
@@ -508,8 +537,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     out_data = a.data.transpose(axes)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.transpose(np.argsort(axes)))
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(out_data, (a,), backward, "permute")
 
@@ -535,13 +563,15 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     out_data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
+    need = [p.requires_grad for p in parts]
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(int(lo), int(hi))
-                _accumulate(p, g[tuple(idx)])
+        idx = [slice(None)] * g.ndim
+        grads = []
+        for r, lo, hi in zip(need, offsets[:-1], offsets[1:]):
+            idx[axis] = slice(int(lo), int(hi))
+            grads.append(g[tuple(idx)] if r else None)
+        return grads
 
     return _make(out_data, tuple(parts), backward, "concat")
 
@@ -556,12 +586,12 @@ def slice_(a: Tensor, key) -> Tensor:
         key = (key,)
     norm = tuple(slice(k, k + 1) if isinstance(k, int) else k for k in key)
     out_data = a.data[norm]
+    sa, dtype = a.shape, a.data.dtype
 
     def backward(g):
-        if a.requires_grad:
-            scattered = np.zeros_like(a.data)
-            scattered[norm] = g
-            _accumulate(a, scattered)
+        scattered = np.zeros(sa, dtype=dtype)
+        scattered[norm] = g
+        return (scattered,)
 
     return _make(out_data, (a,), backward, "slice")
 
@@ -583,10 +613,10 @@ def expand(a: Tensor, shape: Sequence[int]) -> Tensor:
     """Broadcast to ``shape`` as a read-only view. Backward sum-reduces."""
     shape = tuple(int(s) for s in shape)
     out_data = np.broadcast_to(a.data, shape)
+    sa = a.shape
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
+        return (_unbroadcast(g, sa),)
 
     return _make(out_data, (a,), backward, "expand")
 
@@ -599,9 +629,7 @@ def pad2d(a: Tensor, pad: int) -> Tensor:
     out_data = np.pad(a.data, width)
 
     def backward(g):
-        if a.requires_grad:
-            sl = (Ellipsis, slice(pad, -pad), slice(pad, -pad))
-            _accumulate(a, g[sl])
+        return (g[(Ellipsis, slice(pad, -pad), slice(pad, -pad))],)
 
     return _make(out_data, (a,), backward, "pad2d")
 
@@ -613,23 +641,27 @@ def pad2d(a: Tensor, pad: int) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Gradients accumulate additively into every ``requires_grad`` leaf.
-    Nodes are popped off the topological order, and each interior node
-    drops its grad, closure and parents right after its own closure runs,
-    so the tape shrinks from its peak at the start of the sweep (every
-    recorded value and saved buffer) as the sweep goes. A graph can be
-    swept once, and a sweep that raised cannot be retried.
+    Nodes are popped off the topological order. Each closure returns one
+    gradient per parent, and the sweep adds them into the parents' nodes
+    out of place, in parent order; a leaf's gradient lands in its
+    ``.grad`` and accumulates across sweeps. Each node drops its grad,
+    closure and parent links right after its own closure runs, so the tape
+    shrinks from its peak at the start of the sweep (the buffers the
+    closures saved) as the sweep goes. A graph can be swept once, and a
+    sweep that raised cannot be retried.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {list(loss.shape)}")
-    if loss._backward_done:
-        raise ContractError("backward called twice on the same graph")
-    if not loss.requires_grad:
-        raise ContractError("loss does not require grad; nothing to differentiate")
+    root = loss._node
+    if root is None:
+        raise ContractError("loss is not a recorded op's output; nothing to differentiate")
 
-    topo: list[Tensor] = []
+    # Leaves are not swept: their consumers' closures feed them. A node an
+    # earlier sweep reached (this loss's, or another's sharing the subgraph)
+    # has no closure left; that is caught here, before any gradient moves.
+    topo: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -638,25 +670,26 @@ def backward(loss: Tensor) -> None:
         if id(node) in visited:
             continue
         visited.add(id(node))
+        if node.backward_fn is None:
+            raise ContractError("backward called twice on the same graph")
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+        for p in node.parents:
+            if type(p) is Node and id(p) not in visited:
                 stack.append((p, False))
 
-    # Marked first: after a closure raises, some leaves already hold their
-    # share and the graph is partly released, so a retry must not sweep.
-    loss._backward_done = True
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        if node._backward_fn is not None:
-            node._backward_fn(node.grad)
-        # Leaves keep their grads. An interior node is done once its own
-        # closure has run, since all its consumers ran before it.
-        if node._parents:
-            node.grad = None
-            node._backward_fn = None
-            node._parents = ()
+        # The closure goes first: after one raises, some leaves already hold
+        # their share and the graph is partly released, so a retry must not
+        # sweep. A node is done once its own closure has run, since all its
+        # consumers ran before it.
+        fn, node.backward_fn = node.backward_fn, None
+        for p, g in zip(node.parents, fn(node.grad), strict=True):
+            if p is not None and g is not None:
+                p.grad = np.asarray(g) if p.grad is None else p.grad + g
+        node.grad = None
+        node.parents = ()
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -668,19 +701,6 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # verification utilities
 # --------------------------------------------------------------------------
 
-def check_finite_graph(out: Tensor) -> None:
-    """Walk the recorded graph; raise naming the first op with non-finite values."""
-    stack, seen = [out], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if not np.isfinite(node.data).all():
-            raise NumericsError(f"non-finite values produced by op {node._op!r}")
-        stack.extend(node._parents)
-
-
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -690,10 +710,10 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     if x.dtype != "f64":
         raise ContractError("grad_check requires an f64 input")
     x0 = Tensor(x.data, requires_grad=True)
-    y = f(x0)
+    with check_finite():
+        y = f(x0)
     if y.size != 1:
         raise ContractError("grad_check requires a scalar-valued function")
-    check_finite_graph(y)
     backward(y)
     analytic = np.zeros_like(x0.data) if x0.grad is None else x0.grad
 
@@ -729,8 +749,8 @@ def grad_check_params(loss_fn: Callable[[], Tensor], params: Sequence[tuple[str,
         if p.dtype != "f64":
             raise ContractError(f"grad_check_params requires f64 parameters, {name!r} is {p.dtype}")
         p.grad = None
-    y = loss_fn()
-    check_finite_graph(y)
+    with check_finite():
+        y = loss_fn()
     delta = 4.0 * float(np.spacing(abs(y.item()))) / eps
     backward(y)
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad) for name, p in params}

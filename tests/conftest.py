@@ -6,11 +6,13 @@ always checked against them rather than against themselves.
 """
 
 import random
+import types
 
 import numpy as np
 import pytest
 
 from ctanet.model import ModelConfig
+from ctanet.tensor import Node
 
 
 def naive_conv2d(x, w, b, stride=1, pad=0, groups=1):
@@ -73,6 +75,41 @@ def reconstruct_oracle(patches, H, W):
         for i in range(hp):
             for j in range(wp):
                 out[:, :, gy * hp + i, gx * wp + j] = patches[:, :, n, i, j]
+    return out
+
+
+def tape_nodes(t):
+    """Every recorded node reachable from tensor ``t``, its own first; the
+    leaves, which are tensors, are not included."""
+    nodes, stack, seen = [], [t.node], set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Node) and id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+def captured(fn):
+    """Every object closure ``fn`` captures, through nested functions and
+    the tuples and lists it holds."""
+    out, stack, seen = [], [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:      # a variable the function never assigned
+                    pass
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        else:
+            out.append(obj)
     return out
 
 

@@ -8,6 +8,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import tape_nodes
 
 from ctanet import cli
 from ctanet import config as C
@@ -347,6 +348,24 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "ablate", "analyze"])
+    def test_unwritable_output_is_named(self, tmp_path, capsys, command):
+        # train and ablate get an existing file as --out-dir, analyze a
+        # directory as --out; each is a config error before any output
+        target = tmp_path / "taken"
+        if command == "analyze":
+            target.mkdir()
+            argv = ["analyze", "--preset", "tiny", "--out", str(target)]
+        else:
+            target.write_text("")
+            argv = [command, "--preset", "tiny", *MICRO, "--out-dir", str(target)]
+            if command == "ablate":
+                argv += ["--grid-rrcv", "none,resnet"]
+        assert run_cli(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert str(target) in err and "Traceback" not in err
+        assert out == ""
+
     def test_subset_flag(self, tmp_path, capsys):
         code = run_cli(["train", "--preset", "tiny", *MICRO, "--subset", "24",
                         "--out-dir", str(tmp_path / "runs")])
@@ -356,15 +375,7 @@ class TestTrainEval:
         real = T.backward
 
         def poisoned(loss):
-            leaves, stack, seen = [], [loss], set()
-            while stack:
-                node = stack.pop()
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                stack.extend(node._parents)
-                if not node._parents and node.requires_grad:
-                    leaves.append(node)
+            leaves = [p for n in tape_nodes(loss) for p in n.parents if isinstance(p, T.Tensor)]
             real(loss)
             leaves[0].grad = np.full_like(leaves[0].data, np.inf)
 
@@ -385,12 +396,12 @@ class TestGradcheckCommand:
 
         def sabotaged(x):
             out = real(x)
-            if out._backward_fn is not None:
-                good = out._backward_fn
+            if out.requires_grad:
+                good = out.node.backward_fn
 
                 def bad(g):
-                    good(g * 1.5)  # wrong scale reaches every input gradient
-                out._backward_fn = bad
+                    return good(g * 1.5)  # wrong scale reaches every input gradient
+                out.node.backward_fn = bad
             return out
 
         monkeypatch.setattr(nn, "gelu", sabotaged)

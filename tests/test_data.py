@@ -180,6 +180,29 @@ class TestResizeAndBatching:
         assert out.shape == (2, 3, 224, 224)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
+    @staticmethod
+    def _resize_oracle(images, target):
+        """Every output row pair gathered from the source, then blended."""
+        B, C, H, W = images.shape
+        sy, sx = [np.zeros(1) if target == 1 else np.arange(target, dtype=np.float64) * (s - 1) / (target - 1)
+                  for s in (H, W)]
+        y0 = np.clip(np.floor(sy).astype(np.int64), 0, H - 1)
+        x0 = np.clip(np.floor(sx).astype(np.int64), 0, W - 1)
+        y1, x1 = np.minimum(y0 + 1, H - 1), np.minimum(x0 + 1, W - 1)
+        fy, fx = sy - y0, sx - x0
+        top = images[:, :, y0][:, :, :, x0] * (1 - fx) + images[:, :, y0][:, :, :, x1] * fx
+        bot = images[:, :, y1][:, :, :, x0] * (1 - fx) + images[:, :, y1][:, :, :, x1] * fx
+        return (top * (1 - fy)[:, None] + bot * fy[:, None]).astype(images.dtype)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("shape,target", [([2, 3, 32, 32], 224), ([5, 3, 32, 32], 64),
+                                              ([3, 1, 7, 9], 13), ([3, 1, 7, 9], 1)])
+    def test_resize_bytes_match_gathered_rows_oracle(self, shape, target, dtype):
+        batch = T.uniform(shape, 0, 1, seed=9, dtype=dtype).numpy()
+        out = D.resize_array(batch, target)
+        assert out.dtype == batch.dtype and out.shape == (shape[0], shape[1], target, target)
+        assert out.tobytes() == self._resize_oracle(batch, target).tobytes()
+
     def test_batch_iter_final_short_batch(self):
         ds = D.synth_dataset(5, 10, 8, seed=8)
         sizes = [len(b.labels) for b in D.batch_iter(ds, 4)]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import naive_conv2d, random_valid_config, reconstruct_oracle, textbook_attention
+from conftest import naive_conv2d, random_valid_config, reconstruct_oracle, tape_nodes, textbook_attention
 from ctanet import model as M
 from ctanet import nn
 from ctanet import tensor as T
@@ -352,13 +352,7 @@ class TestAttention:
         cfg = tiny_config(kernel_scales=(), kv_reduction=kv_reduction, depth=1)
         net = model_init(cfg, seed=18, dtype="f64")
         x = T.uniform([2, cfg.tokens, 64], seed=26, dtype="f64", requires_grad=True)
-        ops, stack, seen = [], [mhsa(x, net.blocks[0].attn, cfg.heads, query_rows=query_rows)], set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen and node._parents:
-                seen.add(id(node))
-                ops.append(node._op)
-                stack.extend(node._parents)
+        ops = [n.op for n in tape_nodes(mhsa(x, net.blocks[0].attn, cfg.heads, query_rows=query_rows))]
         assert (ops.count("reshape"), ops.count("permute"), ops.count("attend")) == (0, 2, 1)
 
 

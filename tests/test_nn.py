@@ -148,9 +148,9 @@ class TestLinear:
         x = T.uniform([2, 3, 4], seed=11, dtype="f64", requires_grad=True)
         p = nn.linear_init(4, 6, seed=12, dtype="f64")
         y = nn.linear(x, p)
-        assert y._op == "linear"
-        assert len(y._parents) == 3
-        assert all(a is b for a, b in zip(y._parents, (x, p.weight, p.bias)))
+        assert y.node.op == "linear"
+        assert len(y.node.parents) == 3
+        assert all(a is b for a, b in zip(y.node.parents, (x, p.weight, p.bias)))
 
     def test_permuted_input_without_bias(self):
         base = T.uniform([4, 2, 3], -1, 1, seed=13, dtype="f64")
@@ -158,7 +158,7 @@ class TestLinear:
         x = T.permute(base, (1, 2, 0))              # [2, 3, 4], a transposed view
         assert not x.data.flags.c_contiguous
         y = nn.linear(x, p)
-        assert y.shape == (2, 3, 5) and y._parents[1] is p.weight and len(y._parents) == 2
+        assert y.shape == (2, 3, 5) and y.node.parents[1] is p.weight and len(y.node.parents) == 2
         assert np.abs(y.data - x.data @ p.weight.data.T).max() <= 1e-12
         w = T.uniform([2, 3, 5], -1, 1, seed=15, dtype="f64")
 
@@ -183,7 +183,7 @@ class TestLinearBlocks:
         got = []
         for inputs in (xs, xcat):
             y = nn.linear(inputs, p)
-            assert y._op == "linear"
+            assert y.node.op == "linear"
             T.backward(T.reduce_sum(T.mul(y, r)))
             got.append([y.data, p.weight.grad, p.bias.grad] + [x.grad for x in xs])
             T.zero_grads([p.weight, p.bias, *xs])
@@ -261,7 +261,7 @@ class TestFusedGelu:
         p = nn.conv2d_init(2, 2, 3, padding=1, seed=4, dtype="f64")
         x = T.uniform([1, 4, 4, 2], seed=5, dtype="f64", requires_grad=True)
         y = nn.conv2d_nhwc(x, p, gelu=True)
-        assert y._op == "conv2d" and y._parents == (x, p.weight, p.bias)
+        assert y.node.op == "conv2d" and y.node.parents == (x, p.weight, p.bias)
 
 
 class TestAttend:

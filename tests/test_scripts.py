@@ -1,0 +1,34 @@
+"""scripts/output_hashes.py, the bit-identity check between two checkouts."""
+
+import hashlib
+import importlib.util
+import os
+
+import pytest
+
+from ctanet import tensor as T
+from ctanet.model import model_forward, model_init, tiny_config
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "output_hashes.py")
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("output_hashes", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_output_hashes_one_variant(dtype, tmp_path):
+    script = _load_script()
+    # variant 0 is the tiny preset as it stands: resnet detour, class token, scales 1,3,5
+    digests = dict(script.tiny_hashes(script.VARIANTS[0], "lmf_mhsa", dtype, str(tmp_path)))
+    net = model_init(tiny_config(), seed=7, dtype=dtype)
+    names = [name for name, _ in net.named_parameters()]
+    assert len(digests) == len(names) + 2        # logits, a gradient per parameter, checkpoint
+    assert all(len(d) == 64 for d in digests.values())
+    assert "checkpoint" in digests
+    img = T.uniform([4, 3, 32, 32], seed=3, dtype=dtype)
+    want = hashlib.sha256(model_forward(img, net).data.tobytes()).hexdigest()
+    assert digests["logits"] == want

@@ -1,10 +1,13 @@
 """Tensor value semantics, broadcasting, autodiff, PRNG, serialization."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from conftest import captured, tape_nodes
 
+from ctanet import gradcheck as G
 from ctanet import nn
 from ctanet import tensor as T
 from ctanet.errors import ContractError, NumericsError, ShapeError
@@ -205,19 +208,7 @@ class TestBackward:
         x = Tensor([1.0], requires_grad=True)
         with T.no_grad():
             y = T.mul(x, x)
-        assert not y.requires_grad and y._parents == ()
-
-
-def _tape(loss):
-    """Every node reachable from ``loss``, loss first."""
-    nodes, stack, seen = [], [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
+        assert not y.requires_grad and y.node is None
 
 
 def _tiny_loss(dtype, batch, depth=1):
@@ -242,20 +233,30 @@ class TestMutationRule:
         assert np.shares_memory(wide.data, col.data)
         assert not wide.data.flags.writeable
 
-    def test_backward_leaves_every_node_value_unchanged(self):
+    def test_backward_leaves_every_node_value_unchanged(self, monkeypatch):
+        # The graph holds no values, so the forward's outputs are kept here,
+        # along with every array a closure saved and every parameter.
+        outputs, real = [], T._make
+
+        def keep(data, parents, backward_fn, op):
+            outputs.append(real(data, parents, backward_fn, op))
+            return outputs[-1]
+
+        monkeypatch.setattr(T, "_make", keep)
         cfg = tiny_config(depth=1)
         net = model_init(cfg, seed=3, dtype="f64")
         img = T.uniform([2, 3, cfg.image_size, cfg.image_size], seed=4, dtype="f64")
         loss = cross_entropy(model_forward(img, net), np.array([1, 5]))
-        nodes = _tape(loss)
-        before = [n.data.tobytes() for n in nodes]
+        values = [t.data for t in outputs] + [p.data for p in net.parameters()] + [
+            a for n in tape_nodes(loss) for a in captured(n.backward_fn) if isinstance(a, np.ndarray)]
+        before = [a.tobytes() for a in values]
         T.backward(loss)
         # the final block's conv detour cannot reach a class-token head
         # (see test_model.py::test_no_dead_parameters)
         last_detour = f"blocks.{cfg.depth - 1}.rrcv."
         assert all(p.grad is not None for name, p in net.named_parameters()
                    if not name.startswith(last_detour))
-        assert [n.data.tobytes() for n in nodes] == before
+        assert [a.tobytes() for a in values] == before
 
     def test_shared_upstream_gradient_is_not_written_through(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
@@ -275,46 +276,118 @@ class TestMutationRule:
         assert other.grad.tolist() == [[2.0] * 3] * 2
 
 
+class TestGraphNodes:
+    """A recorded op's output points to a node that links only to its
+    parents' nodes; a closure keeps only the arrays its backward reads."""
+
+    def test_leaf_is_its_own_node(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = T.add(x, Tensor([3.0, 4.0]))
+        assert x.node is x and Tensor([1.0]).node is None
+        assert y.node.op == "add" and y.node.parents == (x, None)
+        assert T.reduce_sum(y).node.parents == (y.node,)
+
+    def test_value_no_closure_reads_is_freed(self):
+        w = T.uniform([3, 4], -1, 1, seed=2, dtype="f64")
+        grads = []
+        for drop in (False, True):
+            x = Tensor(T.uniform([3, 4], -1, 1, seed=1, dtype="f64").data, requires_grad=True)
+            y = T.add(T.mul(x, w), w)         # reduce_sum's backward does not read y
+            loss = T.reduce_sum(y)
+            value = weakref.ref(y.data)
+            if drop:
+                del y
+                assert value() is None
+            T.backward(loss)
+            grads.append(x.grad)
+        assert np.array_equal(grads[0], grads[1]) and np.array_equal(grads[1], w.data)
+
+    @pytest.mark.parametrize("rrcv,attention", [("resnet", "lmf_mhsa"), ("cnn", "mhsa"),
+                                                ("dwconv", "lmf_mhsa")])
+    def test_no_closure_holds_a_tensor(self, rrcv, attention):
+        cfg = tiny_config(depth=2, rrcv_variant=rrcv, attention_kind=attention)
+        net = model_init(cfg, seed=3, dtype="f64")
+        img = T.uniform([2, 3, cfg.image_size, cfg.image_size], seed=4, dtype="f64")
+        loss = cross_entropy(model_forward(img, net), np.array([1, 5]))
+        nodes = tape_nodes(loss)
+        assert all(p is None or isinstance(p, T.Node) or (isinstance(p, Tensor) and p.node is p)
+                   for n in nodes for p in n.parents)
+        held = [(n.op, type(a).__name__) for n in nodes for a in captured(n.backward_fn)
+                if isinstance(a, (Tensor, T.Node))]
+        assert held == []
+
+    def test_no_op_check_closure_holds_a_tensor(self):
+        for name, _, fn, x in G.op_checks(seed=0):
+            nodes = tape_nodes(fn(Tensor(x.data, requires_grad=True)))
+            held = [n.op for n in nodes for a in captured(n.backward_fn) if isinstance(a, (Tensor, T.Node))]
+            assert nodes and held == [], name
+
+    def test_residual_stream_values_are_freed(self, monkeypatch):
+        cfg = tiny_config(depth=2)
+        refs, real = [], T._make
+
+        def spy(data, parents, backward_fn, op):
+            out = real(data, parents, backward_fn, op)
+            if op == "add" and out.shape == (2, cfg.tokens, cfg.embed_dim):
+                refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "_make", spy)
+        net = model_init(cfg, seed=3, dtype="f64")
+        img = T.uniform([2, 3, cfg.image_size, cfg.image_size], seed=4, dtype="f64")
+        loss = cross_entropy(model_forward(img, net), np.array([1, 5]))
+        assert loss.requires_grad and len(refs) == 3   # positions, and one block's two residuals
+        assert sum(r() is not None for r in refs) == 0
+
+
 class TestTapeRelease:
     """``backward`` releases each interior node right after its own closure
     runs, and a sweep, finished or failed, is final."""
 
     def test_swept_nodes_hold_nothing_when_the_next_closure_runs(self):
         net, loss = _tiny_loss("f64", batch=2)
-        interior = [n for n in _tape(loss) if n._parents]
+        interior = tape_nodes(loss)
         swept, stale = [], []
 
         def watch(node, fn):
             def run(g):
-                stale.extend(d._op for d in swept
-                             if d.grad is not None or d._backward_fn is not None or d._parents)
-                fn(g)
+                stale.extend(d.op for d in swept
+                             if d.grad is not None or d.backward_fn is not None or d.parents)
+                grads = fn(g)
                 swept.append(node)
+                return grads
             return run
 
         for node in interior:
-            node._backward_fn = watch(node, node._backward_fn)
+            node.backward_fn = watch(node, node.backward_fn)
         T.backward(loss)
         assert len(swept) == len(interior)
         assert stale == []
-        assert all(n.grad is None and n._backward_fn is None and n._parents == () for n in swept)
+        assert all(n.grad is None and n.backward_fn is None and n.parents == () for n in swept)
         last_detour = f"blocks.{net.config.depth - 1}.rrcv."
         assert all(p.grad is not None for name, p in net.named_parameters()
                    if not name.startswith(last_detour))
 
-    def test_sweep_peak_stays_near_its_start(self):
+    def test_sweep_peak_stays_near_its_start(self, monkeypatch):
         # Beyond what the tape holds when the sweep starts, a released sweep
         # adds the leaves' gradients (the parameters' bytes), the gradients
         # at its frontier (a residual stream and one branch) and one
         # closure's temporaries (at most two values' worth): four of the
         # largest tape values bound the last two. Keeping every interior
         # gradient to the end adds about one more tape, ~5x this bound.
+        sizes, real = [], T._make
+
+        def measure(data, parents, backward_fn, op):
+            out = real(data, parents, backward_fn, op)
+            if out.requires_grad:
+                sizes.append(out.data.nbytes)
+            return out
+
+        monkeypatch.setattr(T, "_make", measure)
         tracemalloc.start()
         try:
             net, loss = _tiny_loss("f32", batch=8, depth=tiny_config().depth)
-            tape = _tape(loss)
-            largest = max(n.data.nbytes for n in tape if n._parents)
-            del tape
+            largest = max(sizes)
             bound = sum(p.data.nbytes for p in net.parameters()) + 4 * largest
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
@@ -327,18 +400,22 @@ class TestTapeRelease:
     def test_forward_tape_holds_only_what_backward_reads(self):
         # Counted in token-stream tensors u = [B, T, D]; at the tiny preset the
         # detour's [B, H, W, C] maps, its [B, N, C p^2] patches and the
-        # attention weights [B, h, T, T/4] are each about u too. A block keeps
-        # ln1 2 (normalized input, output), fusion 5 (three branches, reduce,
-        # concat), q k v 3, the K/V token reduce 3 (two gathered inputs, two
-        # short outputs), attend 2 (weights, context), out + residual 2, ln2
-        # 2, the detour 11 (gathered tokens, re, map, conv + its GELU
-        # derivative 2, conv, skip, pconv, gathered patches, embed, concat),
-        # fc1 + its GELU derivative 8 (4x wide) and fc2 + residual 2: 40.
-        # The class-row last block keeps ln1, fusion, K, V and their reduce
-        # (12), the patch embedding 4: 40 (depth - 1) + 16 = 136 u, 18.1 MB
-        # at B=8, plus 10% for norm statistics and class rows. Keeping the
-        # pre-activations, the padded conv inputs and the raw and scaled
-        # scores adds ~46 u (~24 MB in all).
+        # attention weights [B, h, T, T/4] are each about u too. A value lives
+        # only while a closure reads it. A block keeps ln1 2 (normalized
+        # input; output, read by the fusion convs), fusion 4 (three branches,
+        # read by the reduce's dW; concat, read by q k v), q 1 (read by
+        # attend), the K/V token reduce 2.5 (two gathered inputs, two short
+        # outputs), attend 2 (weights; context, read by out), ln2 1
+        # (normalized input), the detour 7 (gathered tokens, map, first conv
+        # + its GELU derivative 2, skip sum, gathered patches, concat) and
+        # fc1 + its GELU derivative 8 (4x wide): 27.5. The K and V
+        # projections, the fusion reduce, out, fc2, both residual sums, re,
+        # the second conv, pconv and embed outputs are read by no closure and
+        # are freed. The class-row last block keeps ln1, fusion and the K/V
+        # reduce (8.5), the patch embedding its gathered patches (1):
+        # 27.5 (depth - 1) + 9.5 = 92 u, 12.2 MB at B=8, plus 10% for norm
+        # statistics and class rows. Keeping every recorded output as well
+        # adds ~44 u (~18 MB in all).
         cfg = tiny_config()
         net = model_init(cfg, seed=3, dtype="f32")
         img = T.uniform([8, 3, cfg.image_size, cfg.image_size], seed=4, dtype="f32")
@@ -350,7 +427,7 @@ class TestTapeRelease:
         finally:
             tracemalloc.stop()
         u = 8 * cfg.tokens * cfg.embed_dim * 4
-        bound = 1.1 * (40 * (cfg.depth - 1) + 16) * u
+        bound = 1.1 * (27.5 * (cfg.depth - 1) + 9.5) * u
         assert loss.requires_grad
         assert held <= bound, (held, bound)
 
@@ -362,7 +439,7 @@ class TestTapeRelease:
 
             def broken(g):
                 raise FloatingPointError("closure failed")
-            out._backward_fn = broken
+            out.node.backward_fn = broken
             return out
 
         monkeypatch.setattr(nn, "layer_norm", sabotaged)
@@ -375,6 +452,18 @@ class TestTapeRelease:
             T.backward(loss)
         params = dict(net.named_parameters())
         assert all(np.array_equal(params[name].grad, g) for name, g in partial.items())
+
+    def test_second_loss_on_a_swept_subgraph_moves_no_gradient(self):
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        a = T.mul(x, x)
+        T.backward(T.reduce_sum(a))
+        swept = x.grad.copy()
+        # the second loss reads `a` again, and also `w`, which no sweep reached yet
+        with pytest.raises(ContractError, match="twice"):
+            T.backward(T.reduce_sum(T.mul(a, w)))
+        assert np.array_equal(x.grad, swept)
+        assert w.grad is None
 
 
 class TestGradCheck:
@@ -396,8 +485,18 @@ class TestGradCheck:
     def test_nonfinite_diagnostic_names_op(self):
         x = Tensor([1.0, 0.0], requires_grad=False)
         with pytest.raises(NumericsError, match="div"):
-            y = T.div(Tensor([1.0, 1.0]), x)
-            T.check_finite_graph(y)
+            with T.check_finite():
+                T.div(Tensor([1.0, 1.0]), x)
+
+    def test_first_nonfinite_op_is_named(self):
+        # log makes the NaN and exp passes it on: the check stops at log
+        x = Tensor([-1.0])
+        with pytest.raises(NumericsError, match="op 'log'"):
+            T.grad_check(lambda t: T.exp(T.log(t)), x)
+
+    def test_unchecked_forward_keeps_nonfinite_values(self):
+        y = T.exp(T.log(Tensor([-1.0, 1.0])))
+        assert np.isnan(y.data[0]) and y.data[1] == 1.0
 
     @staticmethod
     def _probe_check(coef, grad_error):
@@ -407,7 +506,7 @@ class TestGradCheck:
 
         def loss():
             def backward(g):
-                T._accumulate(p, g * (coef + grad_error))
+                return (g * (coef + grad_error),)
             return T._make(np.asarray(2.3 + p.data @ coef), (p,), backward, "probe")
 
         return T.grad_check_params(loss, [("p", p)], eps=1e-5)["p"]
