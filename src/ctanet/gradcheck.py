@@ -98,7 +98,8 @@ def op_checks(seed: int = 0):
     labels = np.array([1, 0])
 
     checks += [
-        ("conv2d", LAYER_TOL, lambda x: _weighted(nn.conv2d(x, conv_p), s(50)), _rand([1, 2, 5, 5], s(51))),
+        # conv2d's 10-wide output is two tiles of the banded GEMM, so its dW folds across tiles
+        ("conv2d", LAYER_TOL, lambda x: _weighted(nn.conv2d(x, conv_p), s(50)), _rand([1, 2, 5, 10], s(51))),
         ("conv2d_stride2", LAYER_TOL, lambda x: _weighted(nn.conv2d(x, conv_s2), s(52)), _rand([1, 2, 6, 6], s(53))),
         ("conv2d_grouped", LAYER_TOL, lambda x: _weighted(nn.conv2d(x, grp_p), s(54)), _rand([1, 4, 4, 4], s(55))),
         ("depthwise_conv2d", LAYER_TOL, lambda x: _weighted(nn.depthwise_conv2d(x, dw_p), s(56)), _rand([1, 3, 5, 5], s(57))),

@@ -8,7 +8,8 @@ GELU to their own output and keep only its derivative, never the
 pre-activation; ``attend`` keeps only the attention weights.
 Convolutions run channels-last and keep their unpadded input: depthwise
 is one einsum over the k x k windows of the padded map, dense and grouped
-convs a sum over the taps of shifted input slices times per-tap weights.
+convs one width-tiled banded GEMM, built and run one cache-sized block of
+input windows at a time, for the output, dx and dW alike.
 The naive nested-loop form lives in the test suite as the oracle.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
@@ -73,6 +74,9 @@ def conv2d_init(in_ch: int, out_ch: int, k: int, *, stride: int = 1, padding: in
         raise ConfigError(f"channels ({in_ch}->{out_ch}) not divisible by groups={groups}")
     if k % 2 == 0:
         raise ConfigError(f"only odd kernel sizes are supported, got {k}")
+    if stride < 1 or padding < 0:
+        raise ConfigError(f"conv2d needs stride >= 1 and padding >= 0, got stride={stride}, "
+                          f"padding={padding}")
     fan_in = (in_ch // groups) * k * k
     bound = 1.0 / math.sqrt(fan_in)
     w = T.uniform([out_ch, in_ch // groups, k, k], -bound, bound, seed=seed, dtype=dtype, requires_grad=True)
@@ -91,14 +95,25 @@ def layer_norm_init(dim: int, *, dtype: str = "f32", eps: float = 1e-5) -> Layer
 # --------------------------------------------------------------------------
 # convolution
 # --------------------------------------------------------------------------
-# Channels-last [B, H, W, C]: each tap adds the product of one shifted slice
-# of the padded input with its weights; no im2col buffer is built or kept.
-# Weights stay stored as [out_ch, in_ch/groups, k, k].
+# Channels-last [B, H, W, C]. A dense or grouped conv is one banded GEMM:
+# the output width splits into tiles of tw pixels, and each tile reads one
+# [k, s(tw - 1) + k, C] window of the padded input, so a row of A is one
+# tile's window and M [k (s(tw - 1) + k) C, tw OC] places the tap weights
+# at each pixel's offset in it. A is a strided view of the padded input,
+# copied ~256 KB at a time so that each block of it, and the block of output
+# rows it yields, stays in cache; the whole A (~3.75x the input at k = 3,
+# tw = 8) never exists. Weights stay stored as [out_ch, in_ch/groups, k, k].
+
+_BLOCK_BYTES = 1 << 18
+
 
 def _conv_checks(x: Tensor, p: Conv2dParams):
     """Shape contract of a channels-last convolution; returns the extents."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects a rank-4 map, got {list(x.shape)}")
+    if p.stride < 1 or p.padding < 0:
+        raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, got stride={p.stride}, "
+                         f"padding={p.padding}")
     oc, cg, k, k2 = p.weight.shape
     if k != k2:
         raise ShapeError("non-square conv kernels are not supported")
@@ -129,7 +144,85 @@ def _pad_hw(a: np.ndarray, n: int) -> np.ndarray:
 
 def _windows(a: np.ndarray, k: int, step: int) -> np.ndarray:
     """[B, OH, OW, C, k, k] view of every k x k window of a padded map, at ``step``."""
-    return sliding_window_view(a, (k, k), axis=(1, 2))[:, ::step, ::step]
+    B, Hp, Wp, C = a.shape
+    sb, sh, sw, sc = a.strides
+    return as_strided(a, (B, (Hp - k) // step + 1, (Wp - k) // step + 1, C, k, k),
+                      (sb, step * sh, step * sw, sc, sh, sw), writeable=False)
+
+
+def _tile_width(ow: int) -> int:
+    """Output pixels per tile: the largest divisor of ``ow`` that is at most 8,
+    so the tiles cover the width exactly. A width with no divisor in 2..8
+    (a prime above 7) gets 1, which makes A the im2col matrix."""
+    return max(d for d in range(1, min(ow, 8) + 1) if ow % d == 0)
+
+
+def _band_blocks(a: np.ndarray, k: int, s: int, oh: int, ow: int, tw: int):
+    """Yield (index, A block) over A of a padded map a [B, Hp, Wp, C].
+
+    A has one row per (image, output row, tile) and k (s(tw - 1) + k) C
+    columns. A block holds whole images when one image's rows fit in
+    _BLOCK_BYTES, else a run of one image's output rows; ``index`` selects
+    the matching [B, oh, ..] rows, which are contiguous either way. Every
+    block is copied into one buffer, valid until the next block is yielded.
+    """
+    B, C = a.shape[0], a.shape[3]
+    ww, nt = s * (tw - 1) + k, ow // tw
+    # [B, oh, nt, k, ww, C]; its last row and column read a[:, s (oh - 1) + k - 1]
+    # and a[:, :, s (ow - 1) + k - 1], inside a as _conv_checks' extents hold
+    sb, sh, sw, sc = a.strides
+    win = as_strided(a, (B, oh, nt, k, ww, C), (sb, s * sh, s * tw * sw, sh, sw, sc),
+                     writeable=False)
+    row = nt * k * ww * C                          # A elements per output row
+    rows = max(1, _BLOCK_BYTES // (row * a.itemsize))
+    if rows >= oh:
+        nb = min(B, rows // oh)
+        blocks = [(slice(b, b + nb),) for b in range(0, B, nb)]
+        buf = np.empty(nb * oh * row, dtype=a.dtype)
+    else:
+        blocks = [(b, slice(y, y + rows)) for b in range(B) for y in range(0, oh, rows)]
+        buf = np.empty(rows * row, dtype=a.dtype)
+    for idx in blocks:
+        v = win[idx]
+        blk = buf[:v.size].reshape(v.shape)
+        np.copyto(blk, v)
+        yield idx, blk.reshape(-1, k * ww * C)
+
+
+def _band_correlate(a: np.ndarray, wk: np.ndarray, s: int, out: np.ndarray, epilogue=None):
+    """out [B, oh, ow, OC] = the correlation of a padded map a [B, Hp, Wp, C]
+    with taps wk [k, k, C, OC] at stride s, one GEMM A @ M per block of A
+    written into out's rows; ``epilogue(index, out[index])`` then runs on
+    each block while it is in cache."""
+    k, _, C, OC = wk.shape
+    _, oh, ow, _ = out.shape
+    tw = _tile_width(ow)
+    m = np.zeros((k, s * (tw - 1) + k, C, tw, OC), dtype=wk.dtype)
+    for p in range(tw):                   # pixel p of a tile reads columns p s .. p s + k - 1
+        m[:, p * s:p * s + k, :, p] = wk
+    m = m.reshape(-1, tw * OC)
+    for idx, ab in _band_blocks(a, k, s, oh, ow, tw):
+        ob = out[idx]
+        np.matmul(ab, m, out=ob.reshape(-1, tw * OC))
+        if epilogue is not None:
+            epilogue(idx, ob)
+
+
+def _band_weight_grad(a: np.ndarray, g: np.ndarray, k: int, s: int) -> np.ndarray:
+    """dL/d taps [k, k, C, OC] of ``_band_correlate(a, ., s, out)`` given
+    dL/d out = g: A^T g summed over the blocks of A, then each tile pixel's
+    band of it folded back onto the k x k taps."""
+    _, oh, ow, OC = g.shape
+    C, tw = a.shape[3], _tile_width(ow)
+    ww = s * (tw - 1) + k
+    d = np.zeros((k * ww * C, tw * OC), dtype=g.dtype)
+    for idx, ab in _band_blocks(a, k, s, oh, ow, tw):
+        d += ab.T @ g[idx].reshape(-1, tw * OC)
+    d = d.reshape(k, ww, C, tw, OC)
+    dw = d[:, 0:k, :, 0].copy()
+    for p in range(1, tw):
+        dw += d[:, p * s:p * s + k, :, p]
+    return dw
 
 
 def conv2d_nhwc(x: Tensor, p: Conv2dParams, gelu: bool = False) -> Tensor:
@@ -138,17 +231,21 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams, gelu: bool = False) -> Tensor:
     Output [B, OH, OW, out_ch], OH = floor((H + 2*pad - k)/stride) + 1,
     passed through GELU when ``gelu``. Depthwise (groups == C == out_ch) is
     one einsum of the input's windows with the [k, k, C] taps. Otherwise
-    each tap multiplies its [.., C] slice by a block-diagonal [C, out_ch]
-    matrix and the taps are summed. The padded input is a forward
-    temporary; backward pads ``x`` again when the weight needs a gradient.
+    the conv is one banded GEMM over blocks of its input windows (see
+    ``_band_correlate``), with block-diagonal [C, out_ch] taps for groups;
+    the bias and GELU are applied to each block of output rows as it is
+    written, and the GELU derivative, when recording, goes to the same
+    block of its own buffer. dx is the same kernel run on the dilated,
+    padded output gradient with the flipped taps; dW folds the band out of
+    A^T g. The padded input is a forward temporary; backward pads ``x``
+    again when the weight needs a gradient.
     """
     B, H, W, C, OC, k, OH, OW = _conv_checks(x, p)
     s, pad, G = p.stride, p.padding, p.groups
     w, b = p.weight, p.bias
     depthwise = G == C == OC
-    taps = [(i, j) for i in range(k) for j in range(k)]
     # Tap weights are packed contiguous with the channel axis last, so the
-    # einsum's inner loop and each tap's matmul read dense memory.
+    # einsum's inner loop and M's blocks read dense memory.
     if depthwise:                       # [k, k, C]; the flipped taps feed dx
         wt = np.ascontiguousarray(w.data[:, 0].transpose(1, 2, 0))
         wflip = wt[::-1, ::-1]
@@ -160,26 +257,33 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams, gelu: bool = False) -> Tensor:
                 w.data[gi * Og:(gi + 1) * Og].transpose(2, 3, 1, 0)
         wflip = np.ascontiguousarray(wt[::-1, ::-1].swapaxes(2, 3))
 
-    def window(a, i, j, step, oh, ow):
-        return a[:, i:i + step * oh:step, j:j + step * ow:step]
-
-    def tap_sum(a, wk, step, oh, ow):
-        out = window(a, 0, 0, step, oh, ow) @ wk[0, 0]
-        for i, j in taps[1:]:
-            out += window(a, i, j, step, oh, ow) @ wk[i, j]
-        return out
-
-    def correlate(a, wk, step, oh, ow):
+    def correlate(a, wk, step, out, epilogue=None):
         if depthwise:
-            return np.einsum("bhwcij,ijc->bhwc", _windows(a, k, step), wk)
-        return tap_sum(a, wk, step, oh, ow)
+            np.einsum("bhwcij,ijc->bhwc", _windows(a, k, step), wk, out=out)
+            if epilogue is not None:
+                epilogue((), out)
+        else:
+            _band_correlate(a, wk, step, out, epilogue)
 
-    out = correlate(_pad_hw(x.data, pad), wt, s, OH, OW)
-    if b is not None:
-        out += b.data
+    # Buffers the tape keeps are allocated before the temporaries, so that
+    # freeing the temporaries leaves no hole between kept buffers.
     parents = (x, w) if b is None else (x, w, b)
-    if gelu:
-        out, dgelu = _gelu(out, T.recording(*parents), out=out)
+    record = T.recording(*parents)
+    out = np.empty((B, OH, OW, OC), dtype=x.data.dtype)
+    dgelu = np.empty_like(out) if gelu and record else None
+    brow = None                          # one output row's bias, [OW * OC]
+    if b is not None:
+        brow = np.empty(OW * OC, dtype=b.data.dtype)
+        brow.reshape(OW, OC)[...] = b.data
+
+    def epilogue(idx, ob):
+        if brow is not None:
+            rows = ob.reshape(-1, OW * OC)          # a view: every block is contiguous
+            rows += brow
+        if gelu:
+            _gelu(ob, record, out=ob, dout=None if dgelu is None else dgelu[idx])
+
+    correlate(_pad_hw(x.data, pad), wt, s, out, epilogue)
     rx, rw, rb = (t is not None and t.requires_grad for t in (x, w, b))
     xd = x.data if rw else None          # dW pads it again
     n = len(parents)
@@ -189,26 +293,23 @@ def conv2d_nhwc(x: Tensor, p: Conv2dParams, gelu: bool = False) -> Tensor:
             g = g * dgelu
         dx = dw = db = None
         if rb:
-            db = g.reshape(-1, OC).sum(axis=0)
+            db = g.reshape(-1, OW * OC).sum(axis=0).reshape(OW, OC).sum(axis=0)
         if rw:
-            xp = _pad_hw(xd, pad)
             if depthwise:
-                dw = np.einsum("bhwcij,bhwc->cij", _windows(xp, k, s), g).reshape(C, 1, k, k)
+                dw = np.einsum("bhwcij,bhwc->cij", _windows(_pad_hw(xd, pad), k, s), g)
+                dw = dw.reshape(C, 1, k, k)
             else:
-                g2 = g.reshape(-1, OC)
-                dwt = np.stack([window(xp, i, j, s, OH, OW).reshape(-1, C).T @ g2
-                                for i, j in taps]).reshape(k, k, C, OC)
+                dwt = _band_weight_grad(_pad_hw(xd, pad), g, k, s)
                 dw = np.concatenate([dwt[:, :, gi * Cg:(gi + 1) * Cg, gi * Og:(gi + 1) * Og]
                                      for gi in range(G)], axis=3).transpose(3, 2, 0, 1)
         if rx:
-            # dx is the stride-1 correlation of the (dilated, zero-padded)
-            # output gradient with the flipped kernel.
-            if s > 1:
-                g1 = np.zeros((B, H + 2 * pad - k + 1, W + 2 * pad - k + 1, OC), dtype=g.dtype)
-                g1[:, ::s, ::s] = g
-                g = g1
-            gp = _pad_hw(g, k - 1)[:, pad:pad + H + k - 1, pad:pad + W + k - 1]
-            dx = correlate(gp, wflip, 1, H, W)
+            # dx is the stride-1 correlation of the output gradient, dilated
+            # by the stride and zero-padded by k - 1, with the flipped kernel.
+            Hd, Wd = H + 2 * pad - k + 1, W + 2 * pad - k + 1
+            dx = np.empty((B, H, W, C), dtype=g.dtype)
+            gp = np.zeros((B, Hd + 2 * (k - 1), Wd + 2 * (k - 1), OC), dtype=g.dtype)
+            gp[:, k - 1:k - 1 + Hd:s, k - 1:k - 1 + Wd:s] = g
+            correlate(gp[:, pad:pad + H + k - 1, pad:pad + W + k - 1], wflip, 1, dx)
         return (dx, dw, db)[:n]
 
     return T._make(out, parents, backward, "conv2d")
@@ -350,19 +451,21 @@ _GELU_C = math.sqrt(2.0 / math.pi)   # 0.7978845608028654
 _GELU_A = 0.044715
 
 
-def _gelu(xd: np.ndarray, record: bool, out: Optional[np.ndarray] = None):
+def _gelu(xd: np.ndarray, record: bool, out: Optional[np.ndarray] = None,
+          dout: Optional[np.ndarray] = None):
     """tanh-form GELU of an array: 0.5 x (1 + tanh(c (x + a x^3))), c = sqrt(2/pi),
     a = 0.044715. Returns (y, dy/dx), the derivative None unless ``record``.
 
     y goes to ``out`` (which may be ``xd`` itself, read for the last time
-    there), else to a fresh buffer. The derivative
+    there), else to a fresh buffer, and the derivative to ``dout``, else to
+    a fresh buffer. The derivative
     0.5 (1 + t) + 0.5 x (1 - t^2) u' = (1 + t) (0.5 + 0.5 x u' (1 - t)),
     t = tanh(u), u' = c (1 + 3 a x^2), is formed in one buffer alongside.
     """
     t = xd * xd
     d = None
     if record:
-        d = t * (3.0 * _GELU_C * _GELU_A)
+        d = np.multiply(t, 3.0 * _GELU_C * _GELU_A, out=dout)
         d += _GELU_C
         d *= xd
         d *= 0.5                          # 0.5 x u'

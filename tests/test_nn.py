@@ -1,6 +1,7 @@
 """Layer semantics against hand values and the naive convolution oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,122 @@ class TestConv2d:
         p = nn.conv2d_init(1, 1, 5, seed=1, dtype="f64")
         with pytest.raises(ShapeError):
             nn.conv2d(T.ones([1, 1, 3, 3], "f64"), p)
+
+
+class TestConvStrideAndPadding:
+    """A stride below 1 or a negative padding is refused before any strided
+    view of the input exists."""
+
+    @pytest.mark.parametrize("stride,padding", [(0, 0), (-1, 0), (1, -1)])
+    def test_init_rejects(self, stride, padding):
+        with pytest.raises(ConfigError, match="stride >= 1 and padding >= 0"):
+            nn.conv2d_init(2, 2, 3, stride=stride, padding=padding, seed=1)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("stride,padding", [(0, 0), (-1, 0), (1, -1)])
+    def test_call_rejects(self, stride, padding, groups):
+        p = make_conv(np.ones((2, 2 // groups, 3, 3)), stride=stride, padding=padding, groups=groups)
+        with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+            nn.conv2d_nhwc(Tensor(np.ones((1, 5, 5, 2))), p)
+
+
+class TestBandedConv:
+    """Dense and grouped convs are one banded GEMM over width tiles of
+    ``_tile_width(OW)`` output pixels; every case here, the tiles included,
+    matches the naive oracle."""
+
+    # (H, W, C, OC, k, stride, padding, groups); OW and its tiling in the comment
+    CASES = [
+        (6, 11, 2, 3, 3, 1, 1, 1),      # OW 11, prime: 11 tiles of 1
+        (5, 13, 3, 2, 3, 1, 0, 1),      # OW 11, prime, no padding
+        (5, 12, 2, 3, 3, 1, 1, 1),      # OW 12: 2 tiles of 6
+        (4, 20, 2, 2, 3, 1, 1, 1),      # OW 20: 4 tiles of 5
+        (7, 21, 4, 4, 3, 2, 1, 2),      # stride 2, groups 2, OW 11
+        (6, 24, 4, 2, 3, 2, 1, 2),      # stride 2, groups 2, OW 12: 2 tiles of 6
+        (9, 31, 3, 4, 3, 3, 2, 1),      # stride 3, OW 11
+        (8, 29, 2, 2, 3, 3, 1, 1),      # stride 3, OW 10: 2 tiles of 5
+        (4, 18, 3, 5, 1, 1, 0, 1),      # k 1, OW 18: 3 tiles of 6
+        (5, 17, 4, 4, 1, 2, 1, 2),      # k 1, stride 2, groups 2, OW 10
+        (8, 22, 2, 3, 5, 1, 2, 1),      # k 5, OW 22: 11 tiles of 2
+        (9, 26, 2, 2, 5, 2, 2, 1),      # k 5, stride 2, OW 13, prime
+        (6, 14, 4, 6, 5, 1, 0, 2),      # k 5, groups 2, no padding, OW 10
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_against_naive(self, case):
+        H, W, C, OC, k, s, pad, G = case
+        x = T.uniform([2, C, H, W], -1, 1, seed=21, dtype="f64")
+        p = nn.conv2d_init(C, OC, k, stride=s, padding=pad, groups=G, seed=22, dtype="f64")
+        want = naive_conv2d(x.data, p.weight.data, p.bias.data, stride=s, pad=pad, groups=G)
+        got = nn.conv2d(x, p).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_cases_span_tiles(self):
+        for _, W, _, _, k, s, pad, _ in self.CASES:
+            ow = (W + 2 * pad - k) // s + 1
+            assert ow % 8 and ow // nn._tile_width(ow) >= 2
+        assert [nn._tile_width(n) for n in (11, 12, 224, 32, 7)] == [1, 6, 8, 8, 7]
+
+    @pytest.mark.parametrize("stride,groups", [(1, 1), (2, 2)])
+    def test_grad_check_across_tiles(self, stride, groups):
+        # OW 12 at stride 1 (2 tiles of 6) and 10 at stride 2 (2 tiles of 5):
+        # dW folds each tile's band, and dx runs on the dilated gradient
+        W = 12 if stride == 1 else 19
+        x = T.uniform([2, 5, W, 4], -1, 1, seed=23, dtype="f64")
+        p = nn.conv2d_init(4, 4, 3, stride=stride, padding=1, groups=groups, seed=24, dtype="f64")
+        y = nn.conv2d_nhwc(x, p)
+        assert y.shape[2] // nn._tile_width(y.shape[2]) == 2
+        w = T.uniform(y.shape, -1, 1, seed=25, dtype="f64")
+
+        def loss_of(t):
+            return T.reduce_sum(T.mul(nn.conv2d_nhwc(t, p, gelu=True), w))
+
+        assert T.grad_check(loss_of, x) <= 1e-6
+        errs = T.grad_check_params(lambda: loss_of(x), [("weight", p.weight), ("bias", p.bias)])
+        assert max(errs.values()) <= 1e-6
+
+    @pytest.mark.parametrize("block_bytes", [1, 2 ** 12, 2 ** 14])
+    def test_blocks_split_rows_and_images(self, monkeypatch, block_bytes):
+        # One output row of A is 2 tiles * 3*8*4 f64 = 1,536 B, so the blocks
+        # hold 1 row, runs of 2 rows (7 = 2+2+2+1) and 1 whole image; the
+        # default size holds all 3 images in one block.
+        x = T.uniform([3, 7, 12, 4], -1, 1, seed=28, dtype="f64", requires_grad=True)
+        p = nn.conv2d_init(4, 4, 3, padding=1, seed=29, dtype="f64")
+        w = T.uniform([3, 7, 12, 4], -1, 1, seed=30, dtype="f64")
+
+        def run():
+            for t in (x, p.weight, p.bias):
+                t.grad = None
+            y = nn.conv2d_nhwc(x, p, gelu=True)
+            T.backward(T.reduce_sum(T.mul(y, w)))
+            return [y.data] + [t.grad for t in (x, p.weight, p.bias)]
+
+        want = run()
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", block_bytes)
+        for a, b in zip(run(), want):
+            assert np.abs(a - b).max() <= 1e-12
+
+    def test_temporaries_stay_blocked(self):
+        # One no-grad f32 3x3 conv of [2, 224, 224, 4], padding 1, allocates
+        # the output 2*224*224*4*4 B (1.61 MB), the padded input 2*226*226*4*4 B
+        # (1.63 MB) and one block of A of at most 256 KB (one output row of A
+        # is 28 tiles * 3*10*4 columns * 4 B = 13.4 KB); M (3*10*4 x 8*4 f32,
+        # 15 KB) and the bias row (3.5 KB) fit in the 64 KB allowed beyond.
+        # A built whole would be 2*224 rows * 28 * 120 * 4 B = 6.02 MB.
+        x = T.uniform([2, 224, 224, 4], -1, 1, seed=26, dtype="f32")
+        p = nn.conv2d_init(4, 4, 3, padding=1, seed=27, dtype="f32")
+        bound = 2 * 224 * 224 * 4 * 4 + 2 * 226 * 226 * 4 * 4 + 2 ** 18 + 2 ** 16
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                y = nn.conv2d_nhwc(x, p)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert y.shape == (2, 224, 224, 4)
+        assert peak <= bound, (peak, bound)
 
 
 class TestDepthwisePointwise:
