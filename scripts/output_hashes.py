@@ -13,7 +13,10 @@ attention kinds and in f32 and f64, it hashes:
   without one hashed as the bytes ``None``;
 - the ``save_checkpoint`` bytes after one AdamW step on those gradients.
 
-It then hashes the paper preset's f32 no-grad logits at B=2.
+It then hashes the paper preset's f32 no-grad logits at B=2, and last
+prints each check of ``gradcheck.run_suite(seed=0, include_model=False)``
+with its error as ``float.hex``, so that a change to any op's gradient or
+to the checkers shows too.
 
 Run it in two checkouts and diff the output: identical lines mean
 bit-identical outputs. It reads only the package's public API, and runs
@@ -29,6 +32,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+from ctanet import gradcheck                                            # noqa: E402
 from ctanet import tensor as T                                          # noqa: E402
 from ctanet.model import model_forward, model_init, paper_config, tiny_config   # noqa: E402
 from ctanet.nn import cross_entropy                                     # noqa: E402
@@ -72,6 +76,12 @@ def paper_hash() -> str:
         return sha(model_forward(img, net).data.tobytes())
 
 
+def checker_errors():
+    """(name, error as float.hex) of every check but the model-level one."""
+    for r in gradcheck.run_suite(seed=0, include_model=False):
+        yield r.name, r.error.hex()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for v in VARIANTS:
@@ -82,6 +92,8 @@ def main() -> int:
                     for label, digest in tiny_hashes(v, attention, dtype, tmp):
                         print(f"{tag} {attention} {dtype} {label} {digest}")
     print(f"paper f32 no-grad logits {paper_hash()}")
+    for name, error in checker_errors():
+        print(f"gradcheck {name} {error}")
     return 0
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .tensor import Tensor
 
 CIFAR10_DIRNAME = "cifar-10-batches-bin"
 CIFAR100_DIRNAME = "cifar-100-binary"
@@ -81,12 +80,6 @@ class Dataset:
         return self.images.shape[0]
 
 
-@dataclass
-class ImageBatch:
-    images: Tensor           # [B, 3, H, W], values in [0, 1]
-    labels: np.ndarray       # [B] int64
-
-
 # --------------------------------------------------------------------------
 # CIFAR binary records
 # --------------------------------------------------------------------------
@@ -96,7 +89,7 @@ def decode_cifar_records(raw: bytes, coarse_fine: bool, path: str = "<bytes>"):
 
     CIFAR-10 records are 1 label byte + 3072 channel-planar pixel bytes;
     CIFAR-100 records carry a coarse then a fine label byte first (the
-    fine label is kept).
+    fine label is kept). A label outside its class range raises DataError.
     """
     rec = 3074 if coarse_fine else 3073
     n = len(raw)
@@ -105,6 +98,12 @@ def decode_cifar_records(raw: bytes, coarse_fine: bool, path: str = "<bytes>"):
             f"{path}: length {n} is not a multiple of the {rec}-byte record; "
             f"partial record begins at byte {n - (n % rec)}")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, rec)
+    ranges = (("coarse label", 20), ("fine label", 100)) if coarse_fine else (("label", 10),)
+    for col, (what, classes) in enumerate(ranges):
+        bad = np.flatnonzero(arr[:, col] >= classes)
+        if bad.size:
+            raise DataError(f"{path}: record {bad[0]} has {what} {arr[bad[0], col]}, "
+                            f"outside 0..{classes - 1}")
     labels = arr[:, 1 if coarse_fine else 0].astype(np.int64)
     pixels = arr[:, 2 if coarse_fine else 1:].reshape(-1, 3, 32, 32)
     return pixels.astype(np.float32) / 255.0, labels
@@ -133,8 +132,8 @@ def load_cifar(spec: DatasetSpec) -> Dataset:
         base = os.path.join(spec.root, CIFAR100_DIRNAME)
         files = ["train.bin"] if spec.split == "train" else ["test.bin"]
         coarse_fine, classes = True, 100
-    chunks = [decode_cifar_records(read_file(os.path.join(base, f), "dataset file"), coarse_fine, f)
-              for f in files]
+    paths = [os.path.join(base, f) for f in files]
+    chunks = [decode_cifar_records(read_file(p, "dataset file"), coarse_fine, p) for p in paths]
     images = np.concatenate([c[0] for c in chunks])
     labels = np.concatenate([c[1] for c in chunks])
     ds = Dataset(images, labels, classes)
@@ -258,15 +257,15 @@ def color_jitter(images: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return np.clip(images * scales[:, :, None, None], 0.0, 1.0).astype(images.dtype)
 
 
-def augment(batch: ImageBatch, flags: AugmentFlags, seed: int) -> ImageBatch:
+def augment(batch: Dataset, flags: AugmentFlags, seed: int) -> Dataset:
     """Fixed-order pipeline: crop -> flip -> rotate -> jitter, each toggleable.
 
     With every flag off the batch is returned unchanged.
     """
     if not flags.any():
         return batch
-    imgs = batch.images.numpy()
-    B = imgs.shape[0]
+    imgs = batch.images
+    B = len(batch)
     if flags.crop:
         u = T.uniform([B, 2], 0, 9, seed=T.fold_seed(seed, 1)).numpy()
         imgs = pad_reflect_crop(imgs, np.floor(u).astype(np.int64))
@@ -281,7 +280,7 @@ def augment(batch: ImageBatch, flags: AugmentFlags, seed: int) -> ImageBatch:
         sc = T.uniform([B, 3], flags.jitter_lo, flags.jitter_hi,
                        seed=T.fold_seed(seed, 4)).numpy()
         imgs = color_jitter(imgs, sc)
-    return ImageBatch(Tensor(imgs), batch.labels)
+    return Dataset(imgs, batch.labels, batch.num_classes)
 
 
 # --------------------------------------------------------------------------
@@ -312,8 +311,9 @@ def resize_array(images: np.ndarray, target: int) -> np.ndarray:
     return out.astype(images.dtype)
 
 
-def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: Optional[int] = None) -> Iterator[ImageBatch]:
-    """Batches in a seed-deterministic order; the final short batch is kept."""
+def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: Optional[int] = None) -> Iterator[Dataset]:
+    """Batches, each a small Dataset, in a seed-deterministic order; the
+    final short batch is kept."""
     n = len(ds)
     if shuffle_seed is None:
         order = np.arange(n)
@@ -321,4 +321,4 @@ def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: Optional[int] = None)
         order = np.argsort(T.random_u64(shuffle_seed, n), kind="stable")
     for lo in range(0, n, batch_size):
         idx = order[lo:lo + batch_size]
-        yield ImageBatch(Tensor(ds.images[idx]), ds.labels[idx])
+        yield Dataset(ds.images[idx], ds.labels[idx], ds.num_classes)

@@ -305,10 +305,9 @@ def _split_cls(x: Tensor, has_cls: bool):
     return cls, rest
 
 
-def reverse_embed(x: Tensor, re: LinearParams, cfg: ModelConfig) -> Tensor:
-    """Tokens back to a channels-last map [B, H, W, C]: drop cls, per-token
-    linear to a channel-major C*p*p patch, tile the row-major grid."""
-    _, pt = _split_cls(x, cfg.use_class_token)
+def reverse_embed(pt: Tensor, re: LinearParams, cfg: ModelConfig) -> Tensor:
+    """Patch tokens [B, N, D] back to a channels-last map [B, H, W, C]:
+    per-token linear to a channel-major C*p*p patch, tile the row-major grid."""
     B = pt.shape[0]
     g, p, C = cfg.grid, cfg.patch_size, cfg.rrcv_width
     y = T.reshape(nn.linear(pt, re), [B, g, g, C, p, p])
@@ -363,25 +362,22 @@ def fuse_tokens(x: Tensor, fusion: FusionParams, cfg: ModelConfig) -> Tensor:
     return pt if cls is None else T.concat([cls, pt], axis=1)
 
 
-def lmf_mhsa(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False,
-             query_rows: Optional[int] = None):
-    """The fusion stage when present (the class token skips it), then `mhsa`,
-    which shortens K and V along the token axis when `ap.k_reduce` is set."""
+def attention(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False,
+              query_rows: Optional[int] = None):
+    """Either attention kind, as the block's parameters say: the fusion stage
+    when the block has one (the class token skips it), then `mhsa`, which
+    shortens K and V along the token axis when `ap.k_reduce` is set.
+    `query_rows` limits the queries (and the output rows) to the leading
+    tokens."""
     S = x.shape[1]
-    if cfg.kv_reduction > S:
+    if ap.k_reduce is not None and cfg.kv_reduction > S:
         raise ConfigError(f"kv_reduction {cfg.kv_reduction} exceeds sequence length {S}")
     if ap.fusion is not None:
         x = fuse_tokens(x, ap.fusion, cfg)
     return mhsa(x, ap, cfg.heads, return_weights, query_rows)
 
 
-def attention(x: Tensor, ap: AttentionParams, cfg: ModelConfig, return_weights: bool = False,
-              query_rows: Optional[int] = None):
-    """The configured attention kind; `query_rows` limits the queries (and
-    the output rows) to the leading tokens."""
-    if cfg.attention_kind == "mhsa":
-        return mhsa(x, ap, cfg.heads, return_weights, query_rows)
-    return lmf_mhsa(x, ap, cfg, return_weights, query_rows)
+lmf_mhsa = attention
 
 
 # --------------------------------------------------------------------------
@@ -395,8 +391,8 @@ def rrcv_forward(x: Tensor, rp: RrcvParams, cfg: ModelConfig) -> Tensor:
     """
     if rp.variant not in ("cnn", "dwconv", "resnet"):
         raise ConfigError(f"unknown conv variant {rp.variant!r}")
-    cls, _ = _split_cls(x, cfg.use_class_token)
-    f = reverse_embed(x, rp.re, cfg)
+    cls, pt = _split_cls(x, cfg.use_class_token)
+    f = reverse_embed(pt, rp.re, cfg)
 
     if rp.variant == "cnn":
         h = nn.conv2d_nhwc(nn.conv2d_nhwc(f, rp.body[0], gelu=True), rp.body[1])

@@ -163,8 +163,8 @@ def set_heap_policy() -> bool:
 # epoch driver
 # --------------------------------------------------------------------------
 
-def _prepare(batch: D.ImageBatch, target_size: int, dtype: str) -> Tensor:
-    imgs = batch.images.numpy()
+def _prepare(batch: D.Dataset, target_size: int, dtype: str) -> Tensor:
+    imgs = batch.images
     if imgs.shape[-1] != target_size:
         imgs = D.resize_array(imgs, target_size)
     return Tensor(imgs.astype(T.DTYPES[dtype], copy=False))

@@ -7,7 +7,6 @@ from conftest import write_cifar10_fixture
 from ctanet import data as D
 from ctanet import tensor as T
 from ctanet.errors import ConfigError, DataError
-from ctanet.tensor import Tensor
 
 
 class TestCifarDecode:
@@ -49,6 +48,28 @@ class TestCifarDecode:
         rec = bytes([5, 42]) + bytes(3072)
         _, labels = D.decode_cifar_records(rec, coarse_fine=True)
         assert labels.tolist() == [42]
+
+    def test_cifar10_label_out_of_range_names_record_and_value(self):
+        raw = bytes([3]) + bytes(3072) + bytes([10]) + bytes(3072)
+        with pytest.raises(DataError, match=r"one\.bin: record 1 has label 10"):
+            D.decode_cifar_records(raw, coarse_fine=False, path="one.bin")
+
+    @pytest.mark.parametrize("coarse,fine,what", [(20, 42, "coarse label 20"),
+                                                  (5, 100, "fine label 100"),
+                                                  (255, 255, "coarse label 255")])
+    def test_cifar100_label_out_of_range(self, coarse, fine, what):
+        raw = bytes([19, 99]) + bytes(3072) + bytes([coarse, fine]) + bytes(3072)
+        with pytest.raises(DataError, match=f"train.bin: record 1 has {what}"):
+            D.decode_cifar_records(raw, coarse_fine=True, path="train.bin")
+
+    def test_subset_load_rejects_bad_label_instead_of_dropping_it(self, cifar10_root):
+        path = cifar10_root / "cifar-10-batches-bin" / "data_batch_1.bin"
+        raw = bytearray(path.read_bytes())
+        raw[5 * 3073] = 200                      # record 5's label byte
+        path.write_bytes(bytes(raw))
+        spec = D.DatasetSpec(kind="cifar10", root=str(cifar10_root), subset_size=10)
+        with pytest.raises(DataError, match=r"data_batch_1\.bin: record 5 has label 200"):
+            D.load_dataset(spec)
 
     def test_loader_full_pipeline(self, cifar10_root):
         spec = D.DatasetSpec(kind="cifar10", root=str(cifar10_root), split="train")
@@ -119,20 +140,20 @@ class TestSynth:
 class TestAugment:
     def _batch(self, seed=5, n=6, size=16):
         imgs = T.uniform([n, 3, size, size], 0, 1, seed=seed).numpy()
-        return D.ImageBatch(Tensor(imgs), np.arange(n) % 3)
+        return D.Dataset(imgs, np.arange(n) % 3, 3)
 
     def test_all_flags_off_identity(self):
         b = self._batch()
         out = D.augment(b, D.AugmentFlags(), seed=1)
-        assert out.images.data.tobytes() == b.images.data.tobytes()
+        assert out.images.tobytes() == b.images.tobytes()
 
     def test_forced_flip_is_involution(self):
         b = self._batch()
         mask = np.ones(6, dtype=bool)
-        once = D.hflip(b.images.numpy(), mask)
+        once = D.hflip(b.images, mask)
         twice = D.hflip(once, mask)
-        assert twice.tobytes() == b.images.numpy().tobytes()
-        assert not np.array_equal(once, b.images.numpy())
+        assert twice.tobytes() == b.images.tobytes()
+        assert not np.array_equal(once, b.images)
 
     def test_crop_of_constant_image_is_constant(self):
         imgs = np.full((2, 3, 16, 16), 0.25, dtype=np.float32)
@@ -146,17 +167,17 @@ class TestAugment:
         a1 = D.augment(b, flags, seed=11)
         a2 = D.augment(b, flags, seed=11)
         a3 = D.augment(b, flags, seed=12)
-        assert a1.images.data.tobytes() == a2.images.data.tobytes()
-        assert a1.images.data.tobytes() != a3.images.data.tobytes()
+        assert a1.images.tobytes() == a2.images.tobytes()
+        assert a1.images.tobytes() != a3.images.tobytes()
 
     def test_zero_rotation_identity(self):
         b = self._batch()
-        out = D.rotate_bilinear(b.images.numpy(), np.zeros(6))
-        assert np.abs(out - b.images.numpy()).max() < 1e-6
+        out = D.rotate_bilinear(b.images, np.zeros(6))
+        assert np.abs(out - b.images).max() < 1e-6
 
     def test_jitter_bounds(self):
         b = self._batch()
-        out = D.color_jitter(b.images.numpy(), np.full((6, 3), 1.2))
+        out = D.color_jitter(b.images, np.full((6, 3), 1.2))
         assert out.max() <= 1.0 and out.min() >= 0.0
 
 

@@ -130,7 +130,7 @@ class TestReverseEmbed:
     def test_shape_contract(self):
         cfg = tiny_config()
         net = model_init(cfg, seed=1, dtype="f64")
-        x = T.uniform([2, 65, 64], seed=8, dtype="f64")
+        x = T.uniform([2, 64, 64], seed=8, dtype="f64")    # the patch tokens, no class row
         assert reverse_embed(x, net.blocks[0].rrcv.re, cfg).shape == (2, 32, 32, 4)
 
 

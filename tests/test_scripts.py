@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from ctanet import gradcheck as G
 from ctanet import tensor as T
 from ctanet.model import model_forward, model_init, tiny_config
 
@@ -32,3 +33,9 @@ def test_output_hashes_one_variant(dtype, tmp_path):
     img = T.uniform([4, 3, 32, 32], seed=3, dtype=dtype)
     want = hashlib.sha256(model_forward(img, net).data.tobytes()).hexdigest()
     assert digests["logits"] == want
+
+
+def test_checker_errors_cover_every_check_but_the_model_level_one():
+    lines = list(_load_script().checker_errors())
+    assert [name for name, _ in lines] == [name for name, *_ in G.op_checks(seed=0)] + ["ct_block_params"]
+    assert all(float.fromhex(error) <= G.LAYER_TOL for _, error in lines)

@@ -1,5 +1,7 @@
 """Tensor value semantics, broadcasting, autodiff, PRNG, serialization."""
 
+import os
+import re
 import tracemalloc
 import weakref
 
@@ -276,6 +278,20 @@ class TestMutationRule:
         assert other.grad.tolist() == [[2.0] * 3] * 2
 
 
+def _spy_recorded(monkeypatch):
+    """The list that every node ``T._make`` records is appended to from now on."""
+    recorded, real = [], T._make
+
+    def spy(data, parents, backward_fn, op):
+        out = real(data, parents, backward_fn, op)
+        if out.node is not None:
+            recorded.append(out.node)
+        return out
+
+    monkeypatch.setattr(T, "_make", spy)
+    return recorded
+
+
 class TestGraphNodes:
     """A recorded op's output points to a node that links only to its
     parents' nodes; a closure keeps only the arrays its backward reads."""
@@ -315,6 +331,41 @@ class TestGraphNodes:
         held = [(n.op, type(a).__name__) for n in nodes for a in captured(n.backward_fn)
                 if isinstance(a, (Tensor, T.Node))]
         assert held == []
+
+    @pytest.mark.parametrize("use_cls", [True, False])
+    @pytest.mark.parametrize("rrcv", ["none", "cnn", "dwconv", "resnet"])
+    @pytest.mark.parametrize("attention", ["lmf_mhsa", "mhsa"])
+    def test_every_recorded_node_is_reached(self, monkeypatch, attention, rrcv, use_cls):
+        # a node the walk from the logits misses is an op no backward reads
+        cfg = tiny_config(depth=2, attention_kind=attention, rrcv_variant=rrcv,
+                          use_class_token=use_cls)
+        net = model_init(cfg, seed=3, dtype="f64")
+        img = T.uniform([2, 3, cfg.image_size, cfg.image_size], seed=4, dtype="f64")
+        recorded = _spy_recorded(monkeypatch)
+        logits = model_forward(img, net)
+        assert len(recorded) == len(tape_nodes(logits))
+
+    def test_op_checks_record_every_op_the_source_makes(self, monkeypatch):
+        # the ops named in the package's `_make` calls are exactly the ops
+        # the gradient-check probes record, and every probe records one
+        src = os.path.join(os.path.dirname(__file__), "..", "src", "ctanet")
+        text = ""
+        for fname in sorted(os.listdir(src)):
+            if fname.endswith(".py"):
+                with open(os.path.join(src, fname)) as fh:
+                    text += fh.read()
+        names = re.findall(r'_make\([^\n]*?, "(\w+)"\)', text)
+        made = set(names)
+        # every call names its op as a literal, and no two calls share a name
+        assert len(re.findall(r"(?<!def )\b_make\(", text)) == len(names) == len(made)
+        recorded = _spy_recorded(monkeypatch)
+        seen = set()
+        for name, _, fn, x in G.op_checks(seed=0):
+            recorded.clear()
+            fn(Tensor(x.data, requires_grad=True))
+            assert recorded, name
+            seen.update(n.op for n in recorded)
+        assert seen == made
 
     def test_no_op_check_closure_holds_a_tensor(self):
         for name, _, fn, x in G.op_checks(seed=0):
