@@ -96,6 +96,13 @@ def op_checks(seed: int = 0):
     lin_p = nn.linear_init(4, 6, seed=s(45), dtype="f64")
     ln_p = nn.layer_norm_init(4, dtype="f64")
     labels = np.array([1, 0])
+    # biases drawn non-zero, so that the folded bias's weight gradient counts
+    kv_p = nn.LinearParams(_rand([6, 4], s(106)), _rand([6], s(107)))
+    red_p = nn.LinearParams(_rand([3, 5], s(108)), _rand([3], s(109)))
+    pc_p = nn.Conv2dParams(_rand([2, 2, 1, 1], s(110)), _rand([2], s(111)))
+    dw1_b, fold_b = _rand([2], s(113)), _rand([3], s(114))
+    fold_x8, fold_x6 = _rand([2, 3, 8], s(115)), _rand([2, 3, 6], s(122))
+    reduce_p = nn.LinearParams(_rand([3, 6], s(116)), fold_b)
 
     checks += [
         # conv2d's 10-wide output is two tiles of the banded GEMM, so its dW folds across tiles
@@ -111,13 +118,22 @@ def op_checks(seed: int = 0):
         ("conv2d_gelu", LAYER_TOL,
          lambda x: _weighted(nn.conv2d_nhwc(x, conv_p, gelu=True), s(102)), _rand([1, 5, 5, 2], s(103))),
         ("gelu", LAYER_TOL, lambda x: _weighted(nn.gelu(x), s(64)), _rand([2, 5], s(65), -2.0, 2.0)),
-        # q, k and v are slices of one probe [B, S, 3 D], two heads; k and v enter as [B, D, S]
+        # q, k and v are slices of one probe [B, S, 3 D], two heads
         ("attend", LAYER_TOL,
-         lambda x: _weighted(nn.attend(T.slice_(x, (..., slice(0, 4))),
-                                       T.permute(T.slice_(x, (..., slice(4, 8))), (0, 2, 1)),
-                                       T.permute(T.slice_(x, (..., slice(8, 12))), (0, 2, 1)), 2)[0],
-                             s(104)),
+         lambda x: _weighted(nn.attend(T.slice_(x, (..., slice(0, 4))), T.slice_(x, (..., slice(4, 8))),
+                                       T.slice_(x, (..., slice(8, 12))), 2)[0], s(104)),
          _rand([2, 3, 12], s(105), -2.0, 2.0)),
+        ("reduce_project", LAYER_TOL,
+         lambda x: _weighted(nn.reduce_project(x, kv_p, red_p), s(117)), _rand([2, 5, 4], s(118))),
+        # the probe is the outer weight: 2 channels of 4 pixels each, through a dense 1x1
+        ("fold_pointwise", LAYER_TOL,
+         lambda x: _weighted(nn.linear(fold_x8, nn.fold_pointwise(nn.LinearParams(x, fold_b), pc_p)),
+                             s(119)), _rand([3, 8], s(120))),
+        # the probe is a depthwise 1x1 weight feeding columns 2:4 of six
+        ("fold_pointwise_depthwise", LAYER_TOL,
+         lambda x: _weighted(nn.linear(fold_x6, nn.fold_pointwise(
+             reduce_p, nn.Conv2dParams(x, dw1_b, groups=2), slice(2, 4))), s(121)),
+         _rand([2, 1, 1, 1], s(112))),
         ("cross_entropy", LAYER_TOL, lambda x: cross_entropy(x, labels), _rand([2, 4], s(66))),
         ("reconstruct", TIGHT_TOL,
          lambda x: _weighted(reconstruct(x, 4, 4), s(67)), _rand([1, 2, 4, 2, 2], s(68))),

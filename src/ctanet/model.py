@@ -9,6 +9,12 @@ pure configuration changes, which is what the ablation harness relies on.
 
 Feature maps in the fusion stage and the detour are channels-last
 [B, H, W, C], so 1x1 convolutions are linears over the last axis.
+Adjacent linear maps run in the cheaper of their two orders, which is
+exact in real arithmetic: K and V are shortened along the tokens before
+they are projected, and the detour's 1x1 `pconv` and the fusion stage's
+1x1 branch are folded into the linear map that follows them (`embed`,
+the reduce), one small product over the parameters per call. Stored
+parameters keep their names, shapes and checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -322,10 +328,17 @@ def reverse_embed(pt: Tensor, re: LinearParams, cfg: ModelConfig) -> Tensor:
 def multi_scale_fuse(x: Tensor, fp: FusionParams) -> Tensor:
     """Depthwise conv per scale on a channels-last map [B, H, W, C], then the
     1x1 reduction of the branches' channel concatenation back to C (computed
-    as a sum over the branches, without the concatenation)."""
+    as a sum over the branches, without the concatenation). The k = 1
+    branch is a per-channel scale and shift, so it is folded into its block
+    of the reduce, which then reads x itself there."""
     if not fp.scales:
         raise ConfigError("multi_scale_fuse needs at least one scale")
-    return nn.linear([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
+    blocks = [x if s == 1 else nn.conv2d_nhwc(x, bp) for s, bp in zip(fp.scales, fp.branches)]
+    reduce = fp.reduce
+    if 1 in fp.scales:
+        j, C = fp.scales.index(1), x.shape[-1]
+        reduce = nn.fold_pointwise(reduce, fp.branches[j], slice(j * C, (j + 1) * C))
+    return nn.linear(blocks, reduce)
 
 
 def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = False,
@@ -333,19 +346,21 @@ def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = Fals
     """Multi-head self-attention of the first `query_rows` tokens (all when
     None) over the whole sequence; the one attention core of both kinds.
 
-    K and V leave their projections tokens last, [B, D, S], with one permute
-    each; when `ap.k_reduce` is set they are shortened there along the token
-    axis. `nn.attend` splits D into heads and is the scores, scale, softmax
-    and weighted sum as one tape op; the weights it returns (with
-    `return_weights`) do not record.
+    Q, K and V stay tokens first, [B, S, D], as their projections leave
+    them. When `ap.k_reduce` is set, K and V are shortened along the token
+    axis before they are projected (`nn.reduce_project`), so the
+    projections run on S_r rows instead of S. `nn.attend` splits D into
+    heads and is the scores, scale, softmax and weighted sum as one tape
+    op; the weights it returns (with `return_weights`) do not record. One
+    call records no reshape or permute.
     """
     xq = x if query_rows is None else T.slice_(x, (slice(None), slice(0, query_rows)))
     q = nn.linear(xq, ap.q)                                # [B, Sq, D]
-    k = T.permute(nn.linear(x, ap.k), (0, 2, 1))           # [B, D, S]
-    v = T.permute(nn.linear(x, ap.v), (0, 2, 1))
-    if ap.k_reduce is not None:
-        k = nn.linear(k, ap.k_reduce)                      # [B, D, S_r]
-        v = nn.linear(v, ap.v_reduce)
+    if ap.k_reduce is None:
+        k, v = nn.linear(x, ap.k), nn.linear(x, ap.v)      # [B, S, D]
+    else:
+        k = nn.reduce_project(x, ap.k, ap.k_reduce)        # [B, S_r, D]
+        v = nn.reduce_project(x, ap.v, ap.v_reduce)
     ctx, weights = nn.attend(q, k, v, heads)               # ctx [B, Sq, D]
     y = nn.linear(ctx, ap.out)
     return (y, weights) if return_weights else y
@@ -387,7 +402,8 @@ lmf_mhsa = attention
 def rrcv_forward(x: Tensor, rp: RrcvParams, cfg: ModelConfig) -> Tensor:
     """Tokens -> feature map -> conv body -> 1x1 -> tokens, class token bypassing.
 
-    The caller (the block) wires the output into its residual MLP branch.
+    The 1x1 `pconv` runs folded into `embed`'s weight. The caller (the
+    block) wires the output into its residual MLP branch.
     """
     if rp.variant not in ("cnn", "dwconv", "resnet"):
         raise ConfigError(f"unknown conv variant {rp.variant!r}")
@@ -403,8 +419,7 @@ def rrcv_forward(x: Tensor, rp: RrcvParams, cfg: ModelConfig) -> Tensor:
         h = nn.conv2d_nhwc(nn.conv2d_nhwc(f, rp.body[0], gelu=True), rp.body[1])
         h = T.add(h, f)
 
-    h = nn.linear(h, rp.pconv)
-    tokens = nn.linear(extract_patches(h, cfg.patch_size), rp.embed)
+    tokens = nn.linear(extract_patches(h, cfg.patch_size), nn.fold_pointwise(rp.embed, rp.pconv))
     return tokens if cls is None else T.concat([cls, tokens], axis=1)
 
 
@@ -540,6 +555,9 @@ def baseline_twin(cfg: ModelConfig) -> ModelConfig:
     Same shape except: plain attention, no conv detour, no fusion, no K/V
     shortening, and the configured baseline width (own width if unset).
     """
+    if cfg.baseline_dim is not None and cfg.baseline_dim % cfg.heads:
+        raise ConfigError(f"model.baseline_dim {cfg.baseline_dim} (the width of the standard-attention "
+                          f"reference) not divisible by model.heads {cfg.heads}")
     return replace(
         cfg,
         embed_dim=cfg.baseline_dim or cfg.embed_dim,

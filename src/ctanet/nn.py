@@ -4,8 +4,13 @@ Each layer is one tape op. It computes in place into buffers it allocates
 itself (never into its inputs) and keeps only what its backward reads:
 ``linear`` is one [rows, in] @ W^T GEMM per input block and also runs
 every 1x1 conv; ``linear`` and ``conv2d_nhwc`` with ``gelu=True`` apply
-GELU to their own output and keep only its derivative, never the
-pre-activation; ``attend`` keeps only the attention weights.
+GELU to their own output, a cache-sized chunk at a time, and keep only
+its derivative, never the pre-activation; ``attend`` takes q, k and v
+tokens first and keeps only the attention weights.
+Two ops reorder adjacent linear maps, exact in real arithmetic:
+``reduce_project`` shortens a sequence along its tokens before it
+projects it, and ``fold_pointwise`` folds a 1x1 conv into the linear map
+after it, as a weight and a bias computed from the parameters per call.
 Convolutions run channels-last and keep their unpadded input: depthwise
 is one einsum over the k x k windows of the padded map, dense and grouped
 convs one width-tiled banded GEMM, built and run one cache-sized block of
@@ -407,6 +412,121 @@ def linear(x: Tensor | Sequence[Tensor], p: LinearParams | Conv2dParams,
     return T._make(out.reshape(xs[0].shape[:-1] + (out_dim,)), parents, backward, "linear")
 
 
+def reduce_project(x: Tensor, proj: LinearParams, reduce: LinearParams) -> Tensor:
+    """The projection ``proj`` of x [B, S, D_in] shortened along its token
+    axis by ``reduce`` (weight R [S_r, S]), tokens first [B, S_r, D_out].
+
+    Both maps are linear, so shortening first is exact in real arithmetic
+    and projects S_r rows instead of S: k = (R x) W^T + rowsum(R) b^T + r_b,
+    which is R (x W^T + b) + r_b. Both maps have biases.
+    """
+    W, b, R, rb = proj.weight, proj.bias, reduce.weight, reduce.bias
+    if x.ndim != 3 or W.shape[1] != x.shape[2] or R.shape[1] != x.shape[1]:
+        raise ShapeError(f"reduce_project: x [B, S, D_in] {list(x.shape)} needs proj [D_out, D_in] "
+                         f"and reduce [S_r, S], got {list(W.shape)} and {list(R.shape)}")
+    T._check_same_dtype(x, W, "reduce_project")
+    T._check_same_dtype(x, R, "reduce_project")
+    B, S, Din = x.shape
+    Dout, Sr = W.shape[0], R.shape[0]
+    xd, wd, bd, rd = x.data, W.data, b.data, R.data
+    rsum = rd.sum(axis=1)
+    rx = np.matmul(rd, xd).reshape(-1, Din)               # R x, [B S_r, D_in]
+    out = (rx @ wd.T).reshape(B, Sr, Dout)
+    out += rsum[:, None] * bd + rb.data[:, None]
+    rX, rW, rB, rR, rRb = (t.requires_grad for t in (x, W, b, R, rb))
+    saved_rx = rx if rW else None                          # dW reads R x, dR reads x and b
+    saved_xd, saved_bd = (xd, bd) if rR else (None, None)
+    saved_rd = rd if rX else None
+
+    def backward(g):
+        g2 = g.reshape(-1, Dout)
+        gs = g.sum(axis=0)                                 # [S_r, D_out]
+        dx = dw = db = dr = None
+        if rW:
+            dw = g2.T @ saved_rx
+        if rB:
+            db = rsum @ gs
+        if rX or rR:
+            drx = (g2 @ wd).reshape(B, Sr, Din)
+            if rX:
+                dx = np.matmul(saved_rd.T, drx)
+            if rR:
+                dr = np.matmul(drx, saved_xd.transpose(0, 2, 1)).sum(axis=0)
+                dr += (gs @ saved_bd)[:, None]
+        return dx, dw, db, dr, gs.sum(axis=1) if rRb else None
+
+    return T._make(out, (x, W, b, R, rb), backward, "reduce_project")
+
+
+def fold_pointwise(outer: LinearParams, inner: Conv2dParams,
+                   cols: slice = slice(None)) -> LinearParams:
+    """The linear map ``outer`` after the 1x1 conv ``inner``, as one linear
+    map over inner's input. Its weight and its bias are each one small tape
+    op over the parameters, whose backward maps the folded gradient back to
+    every stored parameter.
+
+    ``inner`` maps C channels to C, dense (M [C, C]) or depthwise (M =
+    diag(w)), and both maps have biases. Its output feeds outer's columns
+    ``cols``, channel-major with Q columns per channel (a patch's pixels);
+    outer's other columns pass through. In those columns
+    W'[d, c', q] = sum_c W[d, c, q] M[c, c'], and b' = b + sum_{c,q} W[d, c, q] b_M[c].
+    """
+    W, M, bo, bi = outer.weight, inner.weight, outer.bias, inner.bias
+    wd = W.data.reshape(W.shape[0], -1)                    # a 1x1 conv weight as [out, in]
+    O, I = wd.shape
+    C = M.shape[0]
+    diag = inner.groups != 1
+    lo, hi, _ = cols.indices(I)
+    if (M.shape[1:] != (1 if diag else C, 1, 1) or inner.groups not in (1, C) or inner.stride != 1
+            or inner.padding or hi <= lo or (hi - lo) % C):
+        raise ShapeError(f"fold_pointwise: a 1x1 conv C -> C, dense or depthwise, cannot feed columns "
+                         f"{lo}:{hi} of outer weight {list(W.shape)} with weight {list(M.shape)}, "
+                         f"groups={inner.groups}")
+    for t in (M, bo, bi):
+        T._check_same_dtype(W, t, "fold_pointwise")
+    Q = (hi - lo) // C
+    blk = wd[:, lo:hi].reshape(O, C, Q)
+    m = M.data.reshape(C, -1)                              # [C, C], or [C, 1] depthwise
+
+    def fold(a, transpose=False):
+        """a [O, C, Q] through M (its transpose for the gradient) on the channel axis."""
+        if diag:
+            return a * m
+        return np.einsum("deq,ce->dcq" if transpose else "dcq,ce->deq", a, m)
+
+    w2 = wd.copy()
+    w2[:, lo:hi] = fold(blk).reshape(O, -1)
+    rW, rM = W.requires_grad, M.requires_grad
+    w_shape, m_shape = W.shape, M.shape
+
+    def weight_backward(g):
+        gb = g[:, lo:hi].reshape(O, C, Q)
+        dw = dm = None
+        if rW:
+            dw = g.copy()
+            dw[:, lo:hi] = fold(gb, transpose=True).reshape(O, -1)
+            dw = dw.reshape(w_shape)
+        if rM:
+            dm = np.einsum("dcq,dcq->c" if diag else "dcq,deq->ce", blk, gb).reshape(m_shape)
+        return dw, dm
+
+    bsum = blk.sum(axis=2)                                 # [O, C]
+    bid = bi.data
+    rBi = bi.requires_grad
+    saved_bsum = bsum if rBi else None
+
+    def bias_backward(g):
+        dw = None
+        if rW:
+            dw = np.zeros((O, I), dtype=g.dtype)
+            dw[:, lo:hi] = np.repeat(np.outer(g, bid), Q, axis=1)
+            dw = dw.reshape(w_shape)
+        return g, dw, g @ saved_bsum if rBi else None
+
+    return LinearParams(T._make(w2, (W, M), weight_backward, "fold_weight"),
+                        T._make(bo.data + bsum @ bid, (bo, W, bi), bias_backward, "fold_bias"))
+
+
 def _row_dot(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Dot product of matching rows of two [rows, dim] arrays, as a [rows, 1] column."""
     return np.einsum("ij,ij->i", a, c)[:, None]
@@ -451,6 +571,9 @@ _GELU_C = math.sqrt(2.0 / math.pi)   # 0.7978845608028654
 _GELU_A = 0.044715
 
 
+_GELU_CHUNK = 1 << 15      # elements per pass: a chunk's buffers stay in L2
+
+
 def _gelu(xd: np.ndarray, record: bool, out: Optional[np.ndarray] = None,
           dout: Optional[np.ndarray] = None):
     """tanh-form GELU of an array: 0.5 x (1 + tanh(c (x + a x^3))), c = sqrt(2/pi),
@@ -458,28 +581,43 @@ def _gelu(xd: np.ndarray, record: bool, out: Optional[np.ndarray] = None,
 
     y goes to ``out`` (which may be ``xd`` itself, read for the last time
     there), else to a fresh buffer, and the derivative to ``dout``, else to
-    a fresh buffer. The derivative
+    a fresh buffer; both are C-contiguous. The derivative
     0.5 (1 + t) + 0.5 x (1 - t^2) u' = (1 + t) (0.5 + 0.5 x u' (1 - t)),
     t = tanh(u), u' = c (1 + 3 a x^2), is formed in one buffer alongside.
+    The passes run over chunks of _GELU_CHUNK to 2 _GELU_CHUNK elements of
+    the flat arrays, so that each chunk's buffers stay in cache from one
+    pass to the next; every element sees the same operations whatever the
+    chunking.
     """
-    t = xd * xd
+    y = np.empty_like(xd, order="C") if out is None else out
     d = None
     if record:
-        d = np.multiply(t, 3.0 * _GELU_C * _GELU_A, out=dout)
-        d += _GELU_C
-        d *= xd
-        d *= 0.5                          # 0.5 x u'
-    t *= _GELU_C * _GELU_A
-    t += _GELU_C
-    t *= xd
-    np.tanh(t, out=t)                     # t = tanh(c (x + a x^3))
-    if record:
-        d *= 1.0 - t
-        d += 0.5
-        d *= 1.0 + t
-    t += 1.0
-    y = np.multiply(t, xd, out=t if out is None else out)
-    y *= 0.5
+        d = np.empty_like(xd, order="C") if dout is None else dout
+    xf, yf = xd.reshape(-1), y.reshape(-1)          # views: the buffers are contiguous
+    df = None if d is None else d.reshape(-1)
+    n = xf.size
+    chunks = max(1, n // _GELU_CHUNK)
+    step = max(1, -(-n // chunks))                   # the last chunk may be shorter
+    tbuf = np.empty(min(n, step), dtype=xd.dtype)
+    for lo in range(0, n, step):
+        x = xf[lo:lo + step]
+        t = np.multiply(x, x, out=tbuf[:x.size])
+        if record:
+            dc = np.multiply(t, 3.0 * _GELU_C * _GELU_A, out=df[lo:lo + x.size])
+            dc += _GELU_C
+            dc *= x
+            dc *= 0.5                     # 0.5 x u'
+        t *= _GELU_C * _GELU_A
+        t += _GELU_C
+        t *= x
+        np.tanh(t, out=t)                 # t = tanh(c (x + a x^3))
+        if record:
+            dc *= 1.0 - t
+            dc += 0.5
+            dc *= 1.0 + t
+        t += 1.0
+        yc = np.multiply(t, x, out=yf[lo:lo + x.size])
+        yc *= 0.5
     return y, d
 
 
@@ -497,59 +635,65 @@ def attend(q: Tensor, k: Tensor, v: Tensor, heads: int):
     """Multi-head scaled dot-product attention as one tape op:
     ctx = softmax(q k / sqrt(dk)) v in each head.
 
-    q [B, Sq, D] as its projection leaves it; k and v [B, D, S], tokens
-    last. D splits into `heads` heads of dk as views, so the scores' right
-    operand is k [B, h, dk, S] as it stands. Returns (ctx, weights): ctx
-    [B, Sq, D] with the heads side by side, and the weights P [B, h, Sq, S]
-    as a non-recording tensor. The scale and the softmax run in place in
-    the scores' buffer, the tape keeps only P, and each gradient returns in
-    its input's layout.
+    q [B, Sq, D], k and v [B, S, D], all tokens first as their projections
+    leave them. D splits into `heads` heads of dk as views, so the scores'
+    right operand is k [B, h, dk, S], a transposed view that BLAS reads as
+    it stands. Returns (ctx, weights): ctx [B, Sq, D] with the heads side
+    by side, and the weights P [B, h, Sq, S] as a non-recording tensor. The
+    scale and the softmax run in place in the scores' buffer, the tape
+    keeps only P, and each gradient returns in its input's layout.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError(f"attend expects rank-3 q, k, v, got {list(q.shape)}, "
                          f"{list(k.shape)}, {list(v.shape)}")
     B, Sq, D = q.shape
-    S = k.shape[2]
-    if k.shape != (B, D, S) or v.shape != (B, D, S) or heads < 1 or D % heads:
-        raise ShapeError(f"attend: q [B, Sq, D] {list(q.shape)} needs k and v [{B}, {D}, S] "
+    S = k.shape[1]
+    if k.shape != (B, S, D) or v.shape != (B, S, D) or heads < 1 or D % heads:
+        raise ShapeError(f"attend: q [B, Sq, D] {list(q.shape)} needs k and v [{B}, S, {D}] "
                          f"and D divisible by {heads} heads, got {list(k.shape)} and {list(v.shape)}")
     T._check_same_dtype(q, k, "attend")
     T._check_same_dtype(q, v, "attend")
     dk = D // heads
     qh = q.data.reshape(B, Sq, heads, dk).transpose(0, 2, 1, 3)    # [B, h, Sq, dk]
-    kh = k.data.reshape(B, heads, dk, S)
-    vt = v.data.reshape(B, heads, dk, S)                           # v [B, h, S, dk] transposed
+    kh = k.data.reshape(B, S, heads, dk).transpose(0, 2, 3, 1)     # [B, h, dk, S]
+    vh = v.data.reshape(B, S, heads, dk).transpose(0, 2, 1, 3)     # [B, h, S, dk]
     s = np.asarray(1.0 / math.sqrt(dk), dtype=q.data.dtype)
     p = np.matmul(qh, kh)
     p *= s
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = np.empty((B, Sq, heads, dk), dtype=p.dtype)
-    np.matmul(p, np.swapaxes(vt, -1, -2), out=ctx.transpose(0, 2, 1, 3))
+
+    def heads_out(a, b, rows):
+        """a @ b [B, h, rows, dk] written with the heads side by side, [B, rows, D]."""
+        out = np.empty((B, rows, heads, dk), dtype=p.dtype)
+        np.matmul(a, b, out=out.transpose(0, 2, 1, 3))
+        return out.reshape(B, rows, D)
+
+    ctx = heads_out(p, vh, Sq)
     rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
     saved_kh = kh if rq else None         # dq reads k, dk reads q, and both read v
     saved_qh = qh if rk else None
-    saved_vt = vt if rq or rk else None
+    saved_vh = vh if rq or rk else None
 
     def backward(g):
         g = g.reshape(B, Sq, heads, dk).transpose(0, 2, 1, 3)
         gq = gk = gv = None
         if rv:
-            gv = np.matmul(np.swapaxes(p, -1, -2), g).swapaxes(-1, -2).reshape(B, D, S)
+            gv = heads_out(np.swapaxes(p, -1, -2), g, S)
         if rq or rk:
             # dS = (dP - <dP, P>) * P * s, the dot product over each row
-            ds = np.matmul(g, saved_vt)
+            ds = np.matmul(g, np.swapaxes(saved_vh, -1, -2))
             ds -= np.einsum("...i,...i->...", ds, p)[..., None]
             ds *= p
             ds *= s
             if rq:
-                gq = np.matmul(ds, np.swapaxes(saved_kh, -1, -2)).transpose(0, 2, 1, 3).reshape(B, Sq, D)
+                gq = heads_out(ds, np.swapaxes(saved_kh, -1, -2), Sq)
             if rk:
-                gk = np.matmul(np.swapaxes(saved_qh, -1, -2), ds).reshape(B, D, S)
+                gk = heads_out(np.swapaxes(ds, -1, -2), saved_qh, S)
         return gq, gk, gv
 
-    return T._make(ctx.reshape(B, Sq, D), (q, k, v), backward, "attend"), Tensor(p)
+    return T._make(ctx, (q, k, v), backward, "attend"), Tensor(p)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

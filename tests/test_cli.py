@@ -209,6 +209,12 @@ class TestAnalyze:
         assert run_cli(["analyze", "--set", kv]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_baseline_width_not_divisible_by_heads_is_named(self, capsys):
+        # embed_dim 6 divides by 3 heads; the preset's baseline_dim 128 does not
+        assert run_cli(["analyze", "--set", "model.embed_dim=6", "--set", "model.heads=3"]) == 2
+        err = capsys.readouterr().err
+        assert "model.baseline_dim 128" in err and "model.heads 3" in err
+
     @pytest.mark.parametrize("batch", ["0", "-3"])
     def test_batch_below_one_exits_2(self, capsys, batch):
         assert run_cli(["analyze", "--batch", batch]) == 2

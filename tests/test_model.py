@@ -347,13 +347,13 @@ class TestAttention:
     @pytest.mark.parametrize("query_rows", [None, 1])
     @pytest.mark.parametrize("kv_reduction", [1, 4])
     def test_head_layout_stays_inside_attend(self, kv_reduction, query_rows):
-        # The recorded ops of one call: K and V each permute to tokens last,
-        # and nn.attend splits and merges the heads without tape nodes.
+        # The recorded ops of one call: Q, K and V stay tokens first, and
+        # nn.attend splits and merges the heads without tape nodes.
         cfg = tiny_config(kernel_scales=(), kv_reduction=kv_reduction, depth=1)
         net = model_init(cfg, seed=18, dtype="f64")
         x = T.uniform([2, cfg.tokens, 64], seed=26, dtype="f64", requires_grad=True)
         ops = [n.op for n in tape_nodes(mhsa(x, net.blocks[0].attn, cfg.heads, query_rows=query_rows))]
-        assert (ops.count("reshape"), ops.count("permute"), ops.count("attend")) == (0, 2, 1)
+        assert (ops.count("reshape"), ops.count("permute"), ops.count("attend")) == (0, 0, 1)
 
 
 class TestBlockAndModel:
@@ -453,6 +453,79 @@ def full_composition(img, net):
     t = nn.layer_norm(t, net.final_norm)
     return nn.linear(T.reshape(T.slice_(t, (slice(None), 0)), [img.shape[0], cfg.embed_dim]),
                      net.head)
+
+
+def unfolded_mhsa(x, ap, heads, return_weights=False, query_rows=None):
+    """mhsa projecting all S tokens to K and V, then shortening them."""
+    xq = x if query_rows is None else T.slice_(x, (slice(None), slice(0, query_rows)))
+    k, v = nn.linear(x, ap.k), nn.linear(x, ap.v)
+    if ap.k_reduce is not None:
+        k = T.permute(nn.linear(T.permute(k, (0, 2, 1)), ap.k_reduce), (0, 2, 1))
+        v = T.permute(nn.linear(T.permute(v, (0, 2, 1)), ap.v_reduce), (0, 2, 1))
+    ctx, weights = nn.attend(nn.linear(xq, ap.q), k, v, heads)
+    y = nn.linear(ctx, ap.out)
+    return (y, weights) if return_weights else y
+
+
+def unfolded_fuse(x, fp):
+    """multi_scale_fuse running the k = 1 branch as its own conv."""
+    return nn.linear([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
+
+
+def unfolded_rrcv(x, rp, cfg):
+    """rrcv_forward running pconv as its own 1x1 before embed."""
+    cls, pt = M._split_cls(x, cfg.use_class_token)
+    f = reverse_embed(pt, rp.re, cfg)
+    if rp.variant == "cnn":
+        h = nn.conv2d_nhwc(nn.conv2d_nhwc(f, rp.body[0], gelu=True), rp.body[1])
+    elif rp.variant == "dwconv":
+        h = nn.linear(nn.conv2d_nhwc(f, rp.body[0]), rp.body[1], gelu=True)
+        h = nn.linear(nn.conv2d_nhwc(h, rp.body[2]), rp.body[3])
+    else:
+        h = T.add(nn.conv2d_nhwc(nn.conv2d_nhwc(f, rp.body[0], gelu=True), rp.body[1]), f)
+    tokens = nn.linear(M.extract_patches(nn.linear(h, rp.pconv), cfg.patch_size), rp.embed)
+    return tokens if cls is None else T.concat([cls, tokens], axis=1)
+
+
+class TestReassociation:
+    """K and V shortened before their projections, pconv folded into embed
+    and the 1x1 fusion branch into the reduce give the logits and every
+    parameter gradient of the unfolded composition."""
+
+    @pytest.mark.parametrize("use_cls", [True, False])
+    @pytest.mark.parametrize("kv_reduction", [1, 4])
+    @pytest.mark.parametrize("scales", [(1, 3, 5), (3, 5)])
+    @pytest.mark.parametrize("rrcv", ["resnet", "cnn", "dwconv"])
+    def test_logits_and_gradients_match_unfolded_composition(self, monkeypatch, rrcv, scales,
+                                                             kv_reduction, use_cls):
+        cfg = tiny_config(depth=2, image_size=16, rrcv_variant=rrcv, kernel_scales=scales,
+                          kv_reduction=kv_reduction, use_class_token=use_cls)
+        net = model_init(cfg, seed=24, dtype="f64")
+        for i, (name, p) in enumerate(net.named_parameters()):
+            if name.endswith(".bias"):     # zero at init, which would hide the folded bias terms
+                p.data = T.uniform(p.shape, -0.5, 0.5, seed=100 + i, dtype="f64").data
+        img = T.uniform([2, 3, 16, 16], 0, 1, seed=33, dtype="f64")
+        labels = np.array([4, 7])
+        runs = []
+        for unfolded in (False, True):
+            with monkeypatch.context() as mp:
+                if unfolded:
+                    for name, fn in (("mhsa", unfolded_mhsa), ("multi_scale_fuse", unfolded_fuse),
+                                     ("rrcv_forward", unfolded_rrcv)):
+                        mp.setattr(M, name, fn)
+                T.zero_grads(net.parameters())
+                logits = model_forward(img, net)
+                ops = {n.op for n in tape_nodes(logits)}
+                T.backward(nn.cross_entropy(logits, labels))
+            runs.append((logits.data, [np.zeros_like(p.data) if p.grad is None else p.grad
+                                       for p in net.parameters()]))
+            assert ("reduce_project" in ops) == (kv_reduction > 1 and not unfolded)
+            assert ("fold_weight" in ops) == (not unfolded)
+        (logits, grads), (ref_logits, ref_grads) = runs
+        assert np.abs(logits - ref_logits).max() <= 1e-12 * np.abs(ref_logits).max()
+        scale = max(np.abs(g).max() for g in ref_grads)
+        for (name, _), g, ref in zip(net.named_parameters(), grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * scale, name
 
 
 class TestClassReadout:

@@ -387,7 +387,7 @@ class TestAttend:
     B, S, D, H = 2, 6, 8, 2
 
     def _inputs(self, reduce):
-        """q [B, S, D], k and v [B, D, S'] as attend takes them, and the
+        """q [B, S, D], k and v [B, S', D] as attend takes them, and the
         oracle's output with an identity output projection: the context."""
         B, S, D, H = self.B, self.S, self.D, self.H
         rnd = lambda shape, seed: T.uniform(shape, -1, 1, seed=seed, dtype="f64").data
@@ -396,12 +396,12 @@ class TestAttend:
         bq, bk, bv = (rnd([D], 5 + i) for i in range(3))
         kv_reduce = [rnd([3, S], 8), rnd([3], 9), rnd([3, S], 10), rnd([3], 11)] if reduce else None
 
-        def tokens_last(w, b, r):             # [B, D, S'], shortened along tokens by r
-            y = (x @ w.T + b).transpose(0, 2, 1)
-            return y if r is None else y @ r[0].T + r[1]
+        def project(w, b, r):                 # [B, S', D], shortened along tokens by r
+            y = x @ w.T + b
+            return y if r is None else r[0] @ y + r[1][:, None]
 
         kr, vr = (None, None) if kv_reduce is None else (kv_reduce[:2], kv_reduce[2:])
-        q, k, v = x @ wq.T + bq, tokens_last(wk, bk, kr), tokens_last(wv, bv, vr)
+        q, k, v = x @ wq.T + bq, project(wk, bk, kr), project(wv, bv, vr)
         oracle = (x, wq, bq, wk, bk, wv, bv, np.eye(D), np.zeros(D))
         return q, k, v, textbook_attention(*oracle, heads=H, kv_reduce=kv_reduce)
 
@@ -413,7 +413,7 @@ class TestAttend:
         ctx, weights = nn.attend(Tensor(q[:, :Sq]), Tensor(k), Tensor(v), self.H)
         assert ctx.shape == (self.B, Sq, self.D)
         assert np.abs(ctx.data - want[:, :Sq]).max() <= 1e-12
-        assert weights.shape == (self.B, self.H, Sq, k.shape[2]) and not weights.requires_grad
+        assert weights.shape == (self.B, self.H, Sq, k.shape[1]) and not weights.requires_grad
         assert np.abs(weights.data.sum(-1) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("which", [0, 1, 2])
@@ -430,10 +430,63 @@ class TestAttend:
 
     def test_mismatched_layouts_named(self):
         q, k, v, _ = self._inputs(reduce=False)
-        named = r"attend: q \[B, Sq, D\] .* needs k and v \[2, 8, S\]"
-        for k_in, heads in ((k.transpose(0, 2, 1), self.H), (k, 3)):   # tokens first; 3 heads for D = 8
+        named = r"attend: q \[B, Sq, D\] .* needs k and v \[2, S, 8\]"
+        for k_in, heads in ((k.transpose(0, 2, 1), self.H), (k, 3)):   # tokens last; 3 heads for D = 8
             with pytest.raises(ShapeError, match=named):
                 nn.attend(Tensor(q), Tensor(k_in), Tensor(v), heads)
+
+
+class TestReduceProject:
+    """K/V shortened along the tokens before their projection equal the
+    projection of every token shortened after it."""
+
+    def test_matches_project_then_reduce(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(B=st.integers(1, 3), S=st.integers(1, 9), Sr=st.integers(1, 9),
+                          Din=st.integers(1, 7), Dout=st.integers(1, 7), seed=st.integers(0, 99))
+        def check(B, S, Sr, Din, Dout, seed):
+            rnd = lambda shape, k: T.uniform(shape, -1, 1, seed=100 * seed + k, dtype="f64",
+                                             requires_grad=True)
+            x = rnd([B, S, Din], 1)
+            proj = nn.LinearParams(rnd([Dout, Din], 2), rnd([Dout], 3))
+            reduce = nn.LinearParams(rnd([Sr, S], 4), rnd([Sr], 5))
+            w = T.uniform([B, Sr, Dout], -1, 1, seed=100 * seed + 6, dtype="f64")
+            leaves = (x, proj.weight, proj.bias, reduce.weight, reduce.bias)
+            runs = []
+            for fn in (lambda: nn.reduce_project(x, proj, reduce),
+                       lambda: T.permute(nn.linear(T.permute(nn.linear(x, proj), (0, 2, 1)), reduce),
+                                         (0, 2, 1))):
+                T.zero_grads(leaves)
+                y = fn()
+                T.backward(T.reduce_sum(T.mul(y, w)))
+                runs.append([y.data] + [t.grad for t in leaves])
+            for got, ref in zip(*runs):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+        check()
+
+    def test_mismatched_shapes_named(self):
+        x = T.ones([2, 5, 4], "f64")
+        proj, reduce = nn.linear_init(4, 6, dtype="f64"), nn.linear_init(6, 3, dtype="f64")
+        with pytest.raises(ShapeError, match=r"reduce_project: .* reduce \[S_r, S\]"):
+            nn.reduce_project(x, proj, reduce)
+
+
+class TestFoldPointwise:
+    @pytest.mark.parametrize("inner,cols", [
+        (dict(in_ch=9, out_ch=9, k=3, groups=9), slice(None)),    # 3x3 taps: 81 = 9 x 9 weights
+        (dict(in_ch=4, out_ch=4, k=1, groups=2), slice(None)),    # grouped, neither dense nor depthwise
+        (dict(in_ch=4, out_ch=4, k=1, padding=1), slice(None)),   # padding changes the map's extent
+        (dict(in_ch=4, out_ch=4, k=1), slice(0, 6)),              # 6 columns are not 4 channels
+    ])
+    def test_rejects_what_is_not_a_1x1_channel_map(self, inner, cols):
+        outer = nn.linear_init(36, 5, dtype="f64")
+        with pytest.raises(ShapeError, match="fold_pointwise"):
+            nn.fold_pointwise(outer, nn.conv2d_init(**inner, dtype="f64"), cols)
 
 
 class TestLayerNorm:
@@ -498,6 +551,21 @@ class TestActivationAndLoss:
         recorded = nn.gelu(Tensor(xs.data, requires_grad=True))
         assert recorded.requires_grad
         assert recorded.data.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_gelu_chunks_match_one_pass_bitwise(self, monkeypatch, dtype, record, in_place):
+        # three chunks of 33,180 elements, the last 2 short of that
+        n = 3 * nn._GELU_CHUNK + 1234
+        x = T.uniform([2, n // 2], -6, 6, seed=22, dtype=dtype).data
+        runs = []
+        for chunk in (nn._GELU_CHUNK, x.size):
+            monkeypatch.setattr(nn, "_GELU_CHUNK", chunk)
+            xd = x.copy()
+            y, d = nn._gelu(xd, record, out=xd if in_place else None)
+            runs.append((y.tobytes(), None if d is None else d.tobytes()))
+        assert runs[0] == runs[1] and (runs[0][1] is not None) == record
 
     def test_uniform_logits_loss(self):
         loss = nn.cross_entropy(Tensor([[0.0, 0.0]]), [0])
