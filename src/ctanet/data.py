@@ -60,6 +60,9 @@ class DatasetSpec:
         for key, size in (("data.subset", self.subset_size), ("data.val_subset", self.val_subset)):
             if size is not None and size < 1:
                 raise ConfigError(f"{key} must be positive, got {size}")
+        if self.kind == "synthetic" and self.synth_size < self.synth_classes:
+            raise ConfigError(f"data.synth_size {self.synth_size} is below data.synth_classes "
+                              f"{self.synth_classes}: the synthetic set needs a sample per class")
         a = self.augment
         for key, value in (("rotate_deg", a.rotate_deg), ("jitter_lo", a.jitter_lo),
                            ("jitter_hi", a.jitter_hi)):
@@ -122,6 +125,7 @@ def read_file(path: str, what: str, error: type = DataError) -> bytes:
 
 
 def load_cifar(spec: DatasetSpec) -> Dataset:
+    """The whole CIFAR split ``spec`` names; ``load_dataset`` takes the subset."""
     spec.validate()
     if spec.kind == "cifar10":
         base = os.path.join(spec.root, CIFAR10_DIRNAME)
@@ -136,10 +140,7 @@ def load_cifar(spec: DatasetSpec) -> Dataset:
     chunks = [decode_cifar_records(read_file(p, "dataset file"), coarse_fine, p) for p in paths]
     images = np.concatenate([c[0] for c in chunks])
     labels = np.concatenate([c[1] for c in chunks])
-    ds = Dataset(images, labels, classes)
-    if spec.subset_size is not None:
-        ds = stratified_subset(ds, spec.subset_size, spec.seed)
-    return ds
+    return Dataset(images, labels, classes)
 
 
 def stratified_subset(ds: Dataset, size: int, seed: int) -> Dataset:
@@ -195,10 +196,9 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         # the test split draws from an independent stream of the same seed
         seed = spec.seed if spec.split == "train" else T.fold_seed(spec.seed, 1717)
         ds = synth_dataset(spec.synth_classes, spec.synth_size, spec.target_size, seed)
-        if spec.subset_size is not None:
-            ds = stratified_subset(ds, spec.subset_size, spec.seed)
-        return ds
-    return load_cifar(spec)
+    else:
+        ds = load_cifar(spec)
+    return ds if spec.subset_size is None else stratified_subset(ds, spec.subset_size, spec.seed)
 
 
 # --------------------------------------------------------------------------

@@ -410,14 +410,13 @@ def rrcv_forward(x: Tensor, rp: RrcvParams, cfg: ModelConfig) -> Tensor:
     cls, pt = _split_cls(x, cfg.use_class_token)
     f = reverse_embed(pt, rp.re, cfg)
 
-    if rp.variant == "cnn":
-        h = nn.conv2d_nhwc(nn.conv2d_nhwc(f, rp.body[0], gelu=True), rp.body[1])
-    elif rp.variant == "dwconv":
+    if rp.variant == "dwconv":
         h = nn.linear(nn.conv2d_nhwc(f, rp.body[0]), rp.body[1], gelu=True)
         h = nn.linear(nn.conv2d_nhwc(h, rp.body[2]), rp.body[3])
-    else:  # resnet: conv-act-conv plus the identity skip, no activation after the sum
+    else:  # cnn and resnet: conv-act-conv; resnet adds the identity skip, no activation after it
         h = nn.conv2d_nhwc(nn.conv2d_nhwc(f, rp.body[0], gelu=True), rp.body[1])
-        h = T.add(h, f)
+        if rp.variant == "resnet":
+            h = T.add(h, f)
 
     tokens = nn.linear(extract_patches(h, cfg.patch_size), nn.fold_pointwise(rp.embed, rp.pconv))
     return tokens if cls is None else T.concat([cls, tokens], axis=1)
@@ -427,28 +426,23 @@ def mlp_forward(x: Tensor, mp: MlpParams) -> Tensor:
     return nn.linear(nn.linear(x, mp.fc1, gelu=True), mp.fc2)
 
 
-def ct_block(x: Tensor, bp: BlockParams, cfg: ModelConfig) -> Tensor:
-    """norm -> attention -> residual, then norm -> conv detour -> MLP -> residual."""
-    a = attention(nn.layer_norm(x, bp.ln1), bp.attn, cfg)
-    x = T.add(x, a)
-    b = nn.layer_norm(x, bp.ln2)
-    if bp.rrcv is not None:
-        b = rrcv_forward(b, bp.rrcv, cfg)
-    b = mlp_forward(b, bp.mlp)
-    return T.add(x, b)
+def ct_block(x: Tensor, bp: BlockParams, cfg: ModelConfig, readout: bool = False) -> Tensor:
+    """norm -> attention -> residual, then norm -> conv detour -> MLP -> residual.
 
-
-def cls_readout(x: Tensor, bp: BlockParams, cfg: ModelConfig) -> Tensor:
-    """The class-token row [B, 1, D] of ct_block(x, bp, cfg).
-
+    With `readout` the block computes only the class-token row [B, 1, D]:
     K and V (with the fusion stage and the token-axis reduce) still see
-    every token; the query, softmax row, output projection, residuals, ln2
-    and MLP run for the class row alone. The conv detour is skipped: it
-    passes the class token through untouched.
+    every token, while the query, softmax row, output projection,
+    residuals, ln2 and MLP run for the class row alone. The conv detour is
+    skipped, as it passes the class token through untouched.
     """
-    a = attention(nn.layer_norm(x, bp.ln1), bp.attn, cfg, query_rows=1)
-    x = T.add(T.slice_(x, (slice(None), slice(0, 1))), a)
-    return T.add(x, mlp_forward(nn.layer_norm(x, bp.ln2), bp.mlp))
+    if readout and not cfg.use_class_token:
+        raise ConfigError("ct_block: the class-token readout needs use_class_token")
+    a = attention(nn.layer_norm(x, bp.ln1), bp.attn, cfg, query_rows=1 if readout else None)
+    x = T.add(T.slice_(x, (slice(None), slice(0, 1))) if readout else x, a)
+    b = nn.layer_norm(x, bp.ln2)
+    if bp.rrcv is not None and not readout:
+        b = rrcv_forward(b, bp.rrcv, cfg)
+    return T.add(x, mlp_forward(b, bp.mlp))
 
 
 # --------------------------------------------------------------------------
@@ -525,28 +519,26 @@ def model_init(cfg: ModelConfig, seed: int = 0, dtype: str = "f32") -> CtaNet:
 def model_forward(img: Tensor, net: CtaNet) -> Tensor:
     """Image batch [B, 3, H, W] to logits [B, num_classes].
 
-    With a class-token head the last block runs as `cls_readout`, which
-    computes only the class row the head reads; the logits match the full
-    block up to GEMM round-off. Known structural consequence: the conv
-    detour only writes patch-token slots, so the final block's detour
-    parameters cannot reach the head and get no gradient (`None`); under
-    mean pooling every block runs in full and they do. `costs.count_costs`
-    still counts the full final block, as the paper's FLOP figure does.
+    With a class-token head the last block runs as the readout
+    (`ct_block(..., readout=True)`), which computes only the class row the
+    head reads; the logits match the full block up to GEMM round-off.
+    Known structural consequence: the conv detour only writes patch-token
+    slots, so the final block's detour parameters cannot reach the head
+    and get no gradient (`None`); under mean pooling every block runs in
+    full and they do. `costs.count_costs` still counts the full final
+    block, as the paper's FLOP figure does.
     """
     cfg = net.config
     B, C, H, W = img.shape
     if C != 3 or H != cfg.image_size or W != cfg.image_size:
         raise ShapeError(f"expected [B, 3, {cfg.image_size}, {cfg.image_size}], got {list(img.shape)}")
     t = patch_embed(img, net.patch_proj, net.pos_embed, net.cls_token, cfg.patch_size)
-    if not cfg.use_class_token:
-        for bp in net.blocks:
-            t = ct_block(t, bp, cfg)
-        return nn.linear(T.reduce_mean(nn.layer_norm(t, net.final_norm), axis=1), net.head)
-    *body, last = net.blocks
-    for bp in body:
-        t = ct_block(t, bp, cfg)
-    feat = nn.layer_norm(cls_readout(t, last, cfg), net.final_norm)
-    return nn.linear(T.reshape(feat, [B, cfg.embed_dim]), net.head)
+    last = len(net.blocks) - 1
+    for i, bp in enumerate(net.blocks):
+        t = ct_block(t, bp, cfg, readout=cfg.use_class_token and i == last)
+    t = nn.layer_norm(t, net.final_norm)
+    feat = T.reshape(t, [B, cfg.embed_dim]) if cfg.use_class_token else T.reduce_mean(t, axis=1)
+    return nn.linear(feat, net.head)
 
 
 def baseline_twin(cfg: ModelConfig) -> ModelConfig:

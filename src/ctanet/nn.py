@@ -369,21 +369,16 @@ def linear(x: Tensor | Sequence[Tensor], p: LinearParams | Conv2dParams,
         if wd.size != out_dim * in_dim:
             raise ShapeError(f"linear reads the weight as [out, in], got {list(w.shape)}")
         wd = wd.reshape(out_dim, in_dim)
-    if isinstance(x, Tensor):
-        if x.shape[-1] != in_dim:
-            raise ShapeError(f"linear expects last axis {in_dim}, got {list(x.shape)}")
-        T._check_same_dtype(x, w, "linear")
-        xs, ws, x2s = (x,), (wd,), (x.data.reshape(-1, in_dim),)   # reshape: a view if contiguous
-    else:
-        xs, ws, lo = tuple(x), [], 0
-        for t in xs:
-            T._check_same_dtype(t, w, "linear")
-            ws.append(wd[:, lo:lo + t.shape[-1]])
-            lo += t.shape[-1]
-        if lo != in_dim or any(t.shape[:-1] != xs[0].shape[:-1] for t in xs):
-            raise ShapeError(f"linear blocks {[list(t.shape) for t in xs]} do not match "
-                             f"weight {list(w.shape)}")
-        x2s = [t.data.reshape(-1, t.shape[-1]) for t in xs]
+    xs, ws, lo = ((x,) if isinstance(x, Tensor) else tuple(x)), [], 0
+    for t in xs:
+        T._check_same_dtype(t, w, "linear")
+        ws.append(wd[:, lo:lo + t.shape[-1]])
+        lo += t.shape[-1]
+    if lo != in_dim or any(t.shape[:-1] != xs[0].shape[:-1] for t in xs):
+        raise ShapeError(f"linear expects last axis {in_dim}, got {list(xs[0].shape)}" if len(xs) == 1
+                         else f"linear blocks {[list(t.shape) for t in xs]} do not match weight "
+                              f"{list(w.shape)}")
+    x2s = [t.data.reshape(-1, t.shape[-1]) for t in xs]   # reshape: a view if contiguous
     out = x2s[0] @ ws[0].T
     for k in range(1, len(xs)):
         out += x2s[k] @ ws[k].T

@@ -90,7 +90,7 @@ class MetricsRow:
 
 
 METRICS_HEADER = "epoch,train_loss,train_top1,val_loss,val_top1,wall_seconds"
-EVAL_BATCH = 64   # batch size of train_run's validation pass
+EVAL_BATCH = 64   # evaluate's default batch size, also train_run's validation pass
 
 
 def adamw_step(named_params, state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
@@ -207,7 +207,7 @@ def train_epoch(net: CtaNet, ds: D.Dataset, state: OptimizerState, cfg: TrainCon
     return loss_sum / seen, hit_sum / seen, steps
 
 
-def evaluate(net: CtaNet, ds: D.Dataset, batch_size: int = 64,
+def evaluate(net: CtaNet, ds: D.Dataset, batch_size: int = EVAL_BATCH,
              target_size: Optional[int] = None, dtype: str = "f32"):
     """(mean loss, top1) without touching model state."""
     if len(ds) == 0:

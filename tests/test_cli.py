@@ -535,6 +535,14 @@ class TestRejectedBeforeRunDir:
         assert "data.val_subset" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [-1, 0, 9])
+    def test_synth_size_below_class_count(self, tmp_path, capsys, size):
+        out = tmp_path / "runs"
+        assert run_cli(["train", *MICRO, "--set", f"data.synth_size={size}", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "data.synth_size" in err and "data.synth_classes" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sets,key", [
         (["data.aug.jitter=true", "data.aug.jitter_lo=-1"], "data.aug.jitter_lo"),
         (["data.aug.jitter=true", "data.aug.jitter_lo=1.5"], "data.aug.jitter_lo"),

@@ -412,6 +412,17 @@ class TestBlockAndModel:
         net = model_init(cfg, seed=18)
         assert model_forward(T.uniform([2, 3, 32, 32], seed=26), net).shape == (2, 10)
 
+    def test_mean_pool_head_averages_the_normed_tokens(self):
+        cfg = tiny_config(use_class_token=False, depth=2)
+        net = model_init(cfg, seed=18, dtype="f64")
+        img = T.uniform([2, 3, 32, 32], seed=26, dtype="f64")
+        t = patch_embed(img, net.patch_proj, net.pos_embed, None, cfg.patch_size)
+        for bp in net.blocks:
+            t = ct_block(t, bp, cfg)
+        feat = nn.layer_norm(t, net.final_norm).data.mean(axis=1)
+        want = feat @ net.head.weight.data.T + net.head.bias.data
+        assert np.abs(model_forward(img, net).data - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_no_dead_parameters(self):
         # documented exception: with a class-token head the final block's
         # conv detour writes only patch slots, so its parameters cannot
@@ -561,6 +572,30 @@ class TestClassReadout:
         scale = max(np.abs(g).max() for g in ref_grads)
         for (name, _), g, ref in zip(net.named_parameters(), grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("rrcv", M.RRCV_VARIANTS)
+    @pytest.mark.parametrize("kind", M.ATTENTION_KINDS)
+    def test_block_readout_is_row_zero_of_full_block(self, kind, rrcv):
+        cfg = tiny_config(attention_kind=kind, rrcv_variant=rrcv, depth=1)
+        bp = model_init(cfg, seed=24, dtype="f64").blocks[0]
+        x = T.uniform([2, 65, 64], -1, 1, seed=33, dtype="f64", requires_grad=True)
+        r = T.uniform([2, 1, 64], -1, 1, seed=34, dtype="f64")
+        runs = []
+        for block in (lambda: ct_block(x, bp, cfg, readout=True),
+                      lambda: T.slice_(ct_block(x, bp, cfg), (slice(None), slice(0, 1)))):
+            x.grad = None
+            y = block()
+            T.backward(T.reduce_sum(T.mul(y, r)))
+            runs.append((y.data, x.grad))
+        for got, ref in zip(*runs):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_block_readout_needs_a_class_token(self):
+        cfg = tiny_config(use_class_token=False, depth=1)
+        x = T.uniform([2, 64, 64], seed=35, dtype="f64")
+        with pytest.raises(ConfigError, match="use_class_token"):
+            ct_block(x, model_init(cfg, seed=25, dtype="f64").blocks[0], cfg, readout=True)
 
     @pytest.mark.parametrize("use_cls", [True, False])
     def test_last_detour_is_skipped_only_with_a_class_token(self, monkeypatch, use_cls):

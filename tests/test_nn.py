@@ -342,6 +342,41 @@ class TestLinearBlocks:
         with pytest.raises(ShapeError, match="as \\[out, in\\]"):
             nn.linear(T.ones([2, 4]), nn.conv2d_init(4, 2, 3, seed=1))
 
+    def test_blocks_match_concatenation_property(self):
+        # One block is the plain single-tensor call. Without GELU, numpy is
+        # a third reference: y = X W^T + b, dX = R W, dW = R^T X, db = sum R.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                          rows=st.integers(1, 3), cols=st.integers(1, 5), out=st.integers(1, 6),
+                          bias=st.booleans(), gelu=st.booleans(), seed=st.integers(0, 99))
+        def check(widths, rows, cols, out, bias, gelu, seed):
+            rnd = lambda shape, k: T.uniform(shape, -1, 1, seed=100 * seed + k, dtype="f64",
+                                             requires_grad=True)
+            xs = [rnd([rows, cols, c], 10 + i) for i, c in enumerate(widths)]
+            p = nn.LinearParams(rnd([out, sum(widths)], 1), rnd([out], 2) if bias else None)
+            r = T.uniform([rows, cols, out], -1, 1, seed=100 * seed + 3, dtype="f64")
+            leaves = [*xs, p.weight] + ([p.bias] if bias else [])
+            runs = []
+            for inputs in (lambda: xs[0] if len(xs) == 1 else xs, lambda: T.concat(xs, axis=2)):
+                T.zero_grads(leaves)
+                y = nn.linear(inputs(), p, gelu=gelu)
+                T.backward(T.reduce_sum(T.mul(y, r)))
+                runs.append([y.data] + [t.grad for t in leaves])
+            if not gelu:
+                X, W, R = T.concat(xs, axis=2).data, p.weight.data, r.data
+                runs.append([X @ W.T + (p.bias.data if bias else 0),
+                             *np.split(R @ W, np.cumsum(widths)[:-1], axis=2),
+                             np.einsum("rco,rci->oi", R, X)] + ([R.sum(axis=(0, 1))] if bias else []))
+            for run in runs[1:]:
+                for got, ref in zip(runs[0], run):
+                    assert got.shape == ref.shape
+                    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+        check()
+
 
 class TestFusedGelu:
     """``gelu=True`` on a layer gives the bits of ``nn.gelu`` after it, and

@@ -20,12 +20,14 @@ def _load_script():
     return module
 
 
-@pytest.mark.parametrize("dtype", ["f32", "f64"])
-def test_output_hashes_one_variant(dtype, tmp_path):
+# variant 0 is the tiny preset as it stands: resnet detour, class token, scales 1,3,5;
+# variant 2 is the same with the mean-pooled head
+@pytest.mark.parametrize("dtype,variant", [("f32", 0), ("f64", 0), ("f32", 2), ("f64", 2)],
+                         ids=["f32", "f64", "f32-mean", "f64-mean"])
+def test_output_hashes_one_variant(dtype, variant, tmp_path):
     script = _load_script()
-    # variant 0 is the tiny preset as it stands: resnet detour, class token, scales 1,3,5
-    digests = dict(script.tiny_hashes(script.VARIANTS[0], "lmf_mhsa", dtype, str(tmp_path)))
-    net = model_init(tiny_config(), seed=7, dtype=dtype)
+    digests = dict(script.tiny_hashes(script.VARIANTS[variant], "lmf_mhsa", dtype, str(tmp_path)))
+    net = model_init(tiny_config(**script.VARIANTS[variant]), seed=7, dtype=dtype)
     names = [name for name, _ in net.named_parameters()]
     assert len(digests) == len(names) + 2        # logits, a gradient per parameter, checkpoint
     assert all(len(d) == 64 for d in digests.values())
