@@ -86,9 +86,8 @@ def count_costs(cfg: ModelConfig, batch: int = 1) -> CostReport:
     This is the paper's view of the architecture, not a count of what
     `model_forward` runs. It counts the K/V projections over all S tokens,
     though the model shortens K and V first and projects S_r rows; `pconv`
-    and the k = 1 fusion branch as 1x1 convs, though the model folds them
-    into the maps after them; and the full final block, of which a
-    class-token readout runs only the class row.
+    as a 1x1 conv, though the model folds it into `embed`; and the full
+    final block, of which a class-token readout runs only the class row.
     """
     cfg.validate()
     if batch < 1:

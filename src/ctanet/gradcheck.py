@@ -100,9 +100,7 @@ def op_checks(seed: int = 0):
     kv_p = nn.LinearParams(_rand([6, 4], s(106)), _rand([6], s(107)))
     red_p = nn.LinearParams(_rand([3, 5], s(108)), _rand([3], s(109)))
     pc_p = nn.Conv2dParams(_rand([2, 2, 1, 1], s(110)), _rand([2], s(111)))
-    dw1_b, fold_b = _rand([2], s(113)), _rand([3], s(114))
-    fold_x8, fold_x6 = _rand([2, 3, 8], s(115)), _rand([2, 3, 6], s(122))
-    reduce_p = nn.LinearParams(_rand([3, 6], s(116)), fold_b)
+    fold_b, fold_x8 = _rand([3], s(114)), _rand([2, 3, 8], s(115))
 
     checks += [
         # conv2d's 10-wide output is two tiles of the banded GEMM, so its dW folds across tiles
@@ -129,11 +127,6 @@ def op_checks(seed: int = 0):
         ("fold_pointwise", LAYER_TOL,
          lambda x: _weighted(nn.linear(fold_x8, nn.fold_pointwise(nn.LinearParams(x, fold_b), pc_p)),
                              s(119)), _rand([3, 8], s(120))),
-        # the probe is a depthwise 1x1 weight feeding columns 2:4 of six
-        ("fold_pointwise_depthwise", LAYER_TOL,
-         lambda x: _weighted(nn.linear(fold_x6, nn.fold_pointwise(
-             reduce_p, nn.Conv2dParams(x, dw1_b, groups=2), slice(2, 4))), s(121)),
-         _rand([2, 1, 1, 1], s(112))),
         ("cross_entropy", LAYER_TOL, lambda x: cross_entropy(x, labels), _rand([2, 4], s(66))),
         ("reconstruct", TIGHT_TOL,
          lambda x: _weighted(reconstruct(x, 4, 4), s(67)), _rand([1, 2, 4, 2, 2], s(68))),

@@ -11,10 +11,10 @@ Feature maps in the fusion stage and the detour are channels-last
 [B, H, W, C], so 1x1 convolutions are linears over the last axis.
 Adjacent linear maps run in the cheaper of their two orders, which is
 exact in real arithmetic: K and V are shortened along the tokens before
-they are projected, and the detour's 1x1 `pconv` and the fusion stage's
-1x1 branch are folded into the linear map that follows them (`embed`,
-the reduce), one small product over the parameters per call. Stored
-parameters keep their names, shapes and checkpoint bytes.
+they are projected, and the detour's 1x1 `pconv` is folded into `embed`,
+one small product over the parameters per call. Every fusion branch, the
+k = 1 one included, runs as its own depthwise conv. Stored parameters
+keep their names, shapes and checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -328,17 +328,10 @@ def reverse_embed(pt: Tensor, re: LinearParams, cfg: ModelConfig) -> Tensor:
 def multi_scale_fuse(x: Tensor, fp: FusionParams) -> Tensor:
     """Depthwise conv per scale on a channels-last map [B, H, W, C], then the
     1x1 reduction of the branches' channel concatenation back to C (computed
-    as a sum over the branches, without the concatenation). The k = 1
-    branch is a per-channel scale and shift, so it is folded into its block
-    of the reduce, which then reads x itself there."""
+    as a sum over the branches, without the concatenation)."""
     if not fp.scales:
         raise ConfigError("multi_scale_fuse needs at least one scale")
-    blocks = [x if s == 1 else nn.conv2d_nhwc(x, bp) for s, bp in zip(fp.scales, fp.branches)]
-    reduce = fp.reduce
-    if 1 in fp.scales:
-        j, C = fp.scales.index(1), x.shape[-1]
-        reduce = nn.fold_pointwise(reduce, fp.branches[j], slice(j * C, (j + 1) * C))
-    return nn.linear(blocks, reduce)
+    return nn.linear([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
 
 
 def mhsa(x: Tensor, ap: AttentionParams, heads: int, return_weights: bool = False,

@@ -3,14 +3,14 @@
 Each layer is one tape op. It computes in place into buffers it allocates
 itself (never into its inputs) and keeps only what its backward reads:
 ``linear`` is one [rows, in] @ W^T GEMM per input block and also runs
-every 1x1 conv; ``linear`` and ``conv2d_nhwc`` with ``gelu=True`` apply
-GELU to their own output, a cache-sized chunk at a time, and keep only
-its derivative, never the pre-activation; ``attend`` takes q, k and v
+every dense 1x1 conv; ``linear`` and ``conv2d_nhwc`` with ``gelu=True``
+apply GELU to their own output, a cache-sized chunk at a time, and keep
+only its derivative, never the pre-activation; ``attend`` takes q, k and v
 tokens first and keeps only the attention weights.
 Two ops reorder adjacent linear maps, exact in real arithmetic:
 ``reduce_project`` shortens a sequence along its tokens before it
-projects it, and ``fold_pointwise`` folds a 1x1 conv into the linear map
-after it, as a weight and a bias computed from the parameters per call.
+projects it, and ``fold_pointwise`` folds a dense 1x1 conv into the linear
+map after it, as a weight and a bias computed from the parameters per call.
 Convolutions run channels-last and keep their unpadded input: depthwise
 is one einsum over the k x k windows of the padded map, dense and grouped
 convs one width-tiled banded GEMM, built and run one cache-sized block of
@@ -453,71 +453,47 @@ def reduce_project(x: Tensor, proj: LinearParams, reduce: LinearParams) -> Tenso
     return T._make(out, (x, W, b, R, rb), backward, "reduce_project")
 
 
-def fold_pointwise(outer: LinearParams, inner: Conv2dParams,
-                   cols: slice = slice(None)) -> LinearParams:
-    """The linear map ``outer`` after the 1x1 conv ``inner``, as one linear
-    map over inner's input. Its weight and its bias are each one small tape
-    op over the parameters, whose backward maps the folded gradient back to
-    every stored parameter.
+def fold_pointwise(outer: LinearParams, inner: Conv2dParams) -> LinearParams:
+    """The linear map ``outer`` after the dense 1x1 conv ``inner``, as one
+    linear map over inner's input. Its weight and its bias are each one
+    small tape op over the parameters, whose backward maps the folded
+    gradient back to every stored parameter.
 
-    ``inner`` maps C channels to C, dense (M [C, C]) or depthwise (M =
-    diag(w)), and both maps have biases. Its output feeds outer's columns
-    ``cols``, channel-major with Q columns per channel (a patch's pixels);
-    outer's other columns pass through. In those columns
-    W'[d, c', q] = sum_c W[d, c, q] M[c, c'], and b' = b + sum_{c,q} W[d, c, q] b_M[c].
+    ``inner`` maps C channels to C (M [C, C]), and both maps have biases.
+    Its output feeds every column of outer, channel-major with Q columns
+    per channel (a patch's pixels), so that, with W viewed as [O, C, Q],
+    W'[d] = M^T W[d] and b' = b + sum_{c,q} W[d, c, q] b_M[c].
     """
     W, M, bo, bi = outer.weight, inner.weight, outer.bias, inner.bias
-    wd = W.data.reshape(W.shape[0], -1)                    # a 1x1 conv weight as [out, in]
-    O, I = wd.shape
     C = M.shape[0]
-    diag = inner.groups != 1
-    lo, hi, _ = cols.indices(I)
-    if (M.shape[1:] != (1 if diag else C, 1, 1) or inner.groups not in (1, C) or inner.stride != 1
-            or inner.padding or hi <= lo or (hi - lo) % C):
-        raise ShapeError(f"fold_pointwise: a 1x1 conv C -> C, dense or depthwise, cannot feed columns "
-                         f"{lo}:{hi} of outer weight {list(W.shape)} with weight {list(M.shape)}, "
-                         f"groups={inner.groups}")
+    if (M.shape[1:] != (C, 1, 1) or inner.groups != 1 or inner.stride != 1 or inner.padding
+            or W.ndim != 2 or W.shape[1] % C):
+        raise ShapeError(f"fold_pointwise: a dense 1x1 conv C -> C with weight {list(M.shape)}, "
+                         f"groups={inner.groups}, cannot feed the columns of outer weight "
+                         f"{list(W.shape)}")
     for t in (M, bo, bi):
         T._check_same_dtype(W, t, "fold_pointwise")
-    Q = (hi - lo) // C
-    blk = wd[:, lo:hi].reshape(O, C, Q)
-    m = M.data.reshape(C, -1)                              # [C, C], or [C, 1] depthwise
-
-    def fold(a, transpose=False):
-        """a [O, C, Q] through M (its transpose for the gradient) on the channel axis."""
-        if diag:
-            return a * m
-        return np.einsum("deq,ce->dcq" if transpose else "dcq,ce->deq", a, m)
-
-    w2 = wd.copy()
-    w2[:, lo:hi] = fold(blk).reshape(O, -1)
+    O, Q = W.shape[0], W.shape[1] // C
+    wq = W.data.reshape(O, C, Q)
+    m = M.data.reshape(C, C)
     rW, rM = W.requires_grad, M.requires_grad
-    w_shape, m_shape = W.shape, M.shape
+    m_shape = M.shape
 
     def weight_backward(g):
-        gb = g[:, lo:hi].reshape(O, C, Q)
-        dw = dm = None
-        if rW:
-            dw = g.copy()
-            dw[:, lo:hi] = fold(gb, transpose=True).reshape(O, -1)
-            dw = dw.reshape(w_shape)
-        if rM:
-            dm = np.einsum("dcq,dcq->c" if diag else "dcq,deq->ce", blk, gb).reshape(m_shape)
-        return dw, dm
+        gq = g.reshape(O, C, Q)
+        return (np.matmul(m, gq).reshape(O, -1) if rW else None,
+                np.einsum("dcq,deq->ce", wq, gq).reshape(m_shape) if rM else None)
 
-    bsum = blk.sum(axis=2)                                 # [O, C]
+    bsum = wq.sum(axis=2)                                  # [O, C]
     bid = bi.data
     rBi = bi.requires_grad
     saved_bsum = bsum if rBi else None
 
     def bias_backward(g):
-        dw = None
-        if rW:
-            dw = np.zeros((O, I), dtype=g.dtype)
-            dw[:, lo:hi] = np.repeat(np.outer(g, bid), Q, axis=1)
-            dw = dw.reshape(w_shape)
+        dw = np.repeat(np.outer(g, bid), Q, axis=1) if rW else None
         return g, dw, g @ saved_bsum if rBi else None
 
+    w2 = np.matmul(m.T, wq).reshape(O, -1)
     return LinearParams(T._make(w2, (W, M), weight_backward, "fold_weight"),
                         T._make(bo.data + bsum @ bid, (bo, W, bi), bias_backward, "fold_bias"))
 

@@ -577,20 +577,22 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_(a: Tensor, key) -> Tensor:
-    """Slice with a tuple of ``slice``/int entries (ints keep the axis).
+    """Slice with a tuple of ``slice`` entries and ``...``; every axis stays.
 
     The output is a view. Backward scatters the gradient into a fresh zero
     buffer of the input shape.
     """
     if not isinstance(key, tuple):
         key = (key,)
-    norm = tuple(slice(k, k + 1) if isinstance(k, int) else k for k in key)
-    out_data = a.data[norm]
+    for k in key:
+        if not isinstance(k, slice) and k is not Ellipsis:
+            raise ShapeError(f"slice_ takes slices and ..., got the entry {k!r}")
+    out_data = a.data[key]
     sa, dtype = a.shape, a.data.dtype
 
     def backward(g):
         scattered = np.zeros(sa, dtype=dtype)
-        scattered[norm] = g
+        scattered[key] = g
         return (scattered,)
 
     return _make(out_data, (a,), backward, "slice")

@@ -462,8 +462,8 @@ def full_composition(img, net):
     for bp in net.blocks:
         t = ct_block(t, bp, cfg)
     t = nn.layer_norm(t, net.final_norm)
-    return nn.linear(T.reshape(T.slice_(t, (slice(None), 0)), [img.shape[0], cfg.embed_dim]),
-                     net.head)
+    cls = T.slice_(t, (slice(None), slice(0, 1)))
+    return nn.linear(T.reshape(cls, [img.shape[0], cfg.embed_dim]), net.head)
 
 
 def unfolded_mhsa(x, ap, heads, return_weights=False, query_rows=None):
@@ -476,11 +476,6 @@ def unfolded_mhsa(x, ap, heads, return_weights=False, query_rows=None):
     ctx, weights = nn.attend(nn.linear(xq, ap.q), k, v, heads)
     y = nn.linear(ctx, ap.out)
     return (y, weights) if return_weights else y
-
-
-def unfolded_fuse(x, fp):
-    """multi_scale_fuse running the k = 1 branch as its own conv."""
-    return nn.linear([nn.conv2d_nhwc(x, bp) for bp in fp.branches], fp.reduce)
 
 
 def unfolded_rrcv(x, rp, cfg):
@@ -499,9 +494,9 @@ def unfolded_rrcv(x, rp, cfg):
 
 
 class TestReassociation:
-    """K and V shortened before their projections, pconv folded into embed
-    and the 1x1 fusion branch into the reduce give the logits and every
-    parameter gradient of the unfolded composition."""
+    """K and V shortened before their projections and pconv folded into
+    embed give the logits and every parameter gradient of the unfolded
+    composition."""
 
     @pytest.mark.parametrize("use_cls", [True, False])
     @pytest.mark.parametrize("kv_reduction", [1, 4])
@@ -521,8 +516,7 @@ class TestReassociation:
         for unfolded in (False, True):
             with monkeypatch.context() as mp:
                 if unfolded:
-                    for name, fn in (("mhsa", unfolded_mhsa), ("multi_scale_fuse", unfolded_fuse),
-                                     ("rrcv_forward", unfolded_rrcv)):
+                    for name, fn in (("mhsa", unfolded_mhsa), ("rrcv_forward", unfolded_rrcv)):
                         mp.setattr(M, name, fn)
                 T.zero_grads(net.parameters())
                 logits = model_forward(img, net)

@@ -241,6 +241,46 @@ class TestDepthwiseStrided:
         assert max(errs.values()) <= 1e-6
 
 
+class TestConvOracleProperty:
+    def test_matches_naive_property(self, monkeypatch):
+        # Dense, grouped and depthwise convs over drawn extents, each block
+        # of A holding one output row, three rows or the default size. The
+        # explicit example is the depthwise 1x1 that the fusion stage runs.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        default = nn._BLOCK_BYTES
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.example(B=2, H=3, W=5, kind="depthwise", G=3, cg=1, og=1, k=1, s=1, pad=0,
+                            rows=None, seed=0)
+        @hypothesis.given(B=st.integers(1, 2), H=st.integers(1, 9), W=st.integers(1, 19),
+                          kind=st.sampled_from(["dense", "grouped", "depthwise"]),
+                          G=st.integers(2, 3), cg=st.integers(1, 2), og=st.integers(1, 2),
+                          k=st.sampled_from([1, 3, 5]), s=st.integers(1, 3), pad=st.integers(0, 2),
+                          rows=st.sampled_from([1, 3, None]), seed=st.integers(0, 99))
+        def check(B, H, W, kind, G, cg, og, k, s, pad, rows, seed):
+            hypothesis.assume(H + 2 * pad >= k and W + 2 * pad >= k)
+            hypothesis.assume(kind != "grouped" or cg * og > 1)     # else it is depthwise
+            G, cg, og = {"dense": (1, cg + 1, og + 1), "grouped": (G, cg, og),
+                         "depthwise": (G, 1, 1)}[kind]
+            C, OC = G * cg, G * og
+            ow = (W + 2 * pad - k) // s + 1
+            tw = nn._tile_width(ow)
+            row_bytes = (ow // tw) * k * (s * (tw - 1) + k) * C * 8   # A bytes per output row
+            monkeypatch.setattr(nn, "_BLOCK_BYTES", default if rows is None else rows * row_bytes)
+            x = T.uniform([B, H, W, C], -1, 1, seed=100 * seed + 1, dtype="f64")
+            p = nn.conv2d_init(C, OC, k, stride=s, padding=pad, groups=G, dtype="f64",
+                               seed=100 * seed + 2)
+            p.bias.data = T.uniform([OC], -1, 1, seed=100 * seed + 3, dtype="f64").data
+            got = nn.conv2d_nhwc(x, p).data
+            want = naive_conv2d(x.data.transpose(0, 3, 1, 2), p.weight.data, p.bias.data,
+                                stride=s, pad=pad, groups=G).transpose(0, 2, 3, 1)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+        check()
+
+
 class TestLinear:
     def test_identity(self):
         x = T.uniform([3, 4], seed=6, dtype="f64")
@@ -512,16 +552,51 @@ class TestReduceProject:
 
 
 class TestFoldPointwise:
-    @pytest.mark.parametrize("inner,cols", [
-        (dict(in_ch=9, out_ch=9, k=3, groups=9), slice(None)),    # 3x3 taps: 81 = 9 x 9 weights
-        (dict(in_ch=4, out_ch=4, k=1, groups=2), slice(None)),    # grouped, neither dense nor depthwise
-        (dict(in_ch=4, out_ch=4, k=1, padding=1), slice(None)),   # padding changes the map's extent
-        (dict(in_ch=4, out_ch=4, k=1), slice(0, 6)),              # 6 columns are not 4 channels
+    def test_matches_unfolded_composition_property(self):
+        # the unfolded composition: the 1x1 conv as a linear on the channel
+        # axis of x viewed as [N, C, Q], then outer on the channel-major columns
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(N=st.integers(1, 3), O=st.integers(1, 6), C=st.integers(1, 5),
+                          Q=st.integers(1, 5), seed=st.integers(0, 99))
+        def check(N, O, C, Q, seed):
+            rnd = lambda shape, k: T.uniform(shape, -1, 1, seed=100 * seed + k, dtype="f64",
+                                             requires_grad=True)
+            x = rnd([N, C * Q], 1)
+            outer = nn.LinearParams(rnd([O, C * Q], 2), rnd([O], 3))
+            inner = nn.Conv2dParams(rnd([C, C, 1, 1], 4), rnd([C], 5))
+            r = T.uniform([N, O], -1, 1, seed=100 * seed + 6, dtype="f64")
+            leaves = (x, outer.weight, outer.bias, inner.weight, inner.bias)
+
+            def unfolded():
+                h = nn.linear(T.permute(T.reshape(x, [N, C, Q]), (0, 2, 1)), inner)
+                return nn.linear(T.reshape(T.permute(h, (0, 2, 1)), [N, C * Q]), outer)
+
+            runs = []
+            for fn in (lambda: nn.linear(x, nn.fold_pointwise(outer, inner)), unfolded):
+                T.zero_grads(leaves)
+                y = fn()
+                T.backward(T.reduce_sum(T.mul(y, r)))
+                runs.append([y.data] + [t.grad for t in leaves])
+            for got, ref in zip(*runs):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+        check()
+
+    @pytest.mark.parametrize("inner,width", [
+        (dict(in_ch=9, out_ch=9, k=3, groups=9), 36),    # 3x3 taps: 81 = 9 x 9 weights
+        (dict(in_ch=4, out_ch=4, k=1, groups=2), 36),    # grouped, not dense
+        (dict(in_ch=4, out_ch=4, k=1, groups=4), 36),    # depthwise 1x1, not dense
+        (dict(in_ch=4, out_ch=4, k=1, padding=1), 36),   # padding changes the map's extent
+        (dict(in_ch=4, out_ch=4, k=1), 38),              # 38 columns are not 4 channels
     ])
-    def test_rejects_what_is_not_a_1x1_channel_map(self, inner, cols):
-        outer = nn.linear_init(36, 5, dtype="f64")
+    def test_rejects_what_is_not_a_1x1_channel_map(self, inner, width):
+        outer = nn.linear_init(width, 5, dtype="f64")
         with pytest.raises(ShapeError, match="fold_pointwise"):
-            nn.fold_pointwise(outer, nn.conv2d_init(**inner, dtype="f64"), cols)
+            nn.fold_pointwise(outer, nn.conv2d_init(**inner, dtype="f64"))
 
 
 class TestLayerNorm:

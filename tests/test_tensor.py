@@ -172,6 +172,18 @@ class TestReductionsAndShape:
         with pytest.raises(ShapeError):
             T.permute(T.ones([2, 3]), (0, 0))
 
+    @pytest.mark.parametrize("entry", [0, -1, 5, np.int64(1)])
+    def test_slice_rejects_int_entries(self, entry):
+        # an int used to become slice(k, k + 1): -1 and 5 gave an empty axis
+        x = T.uniform([2, 3, 4], seed=9, dtype="f64")
+        with pytest.raises(ShapeError, match=f"slice_ .* entry {re.escape(repr(entry))}"):
+            T.slice_(x, (slice(None), entry))
+
+    def test_slice_keeps_every_axis(self):
+        x = T.uniform([2, 3, 4], seed=9, dtype="f64")
+        assert T.slice_(x, (slice(None), slice(-1, None))).data.tolist() == x.data[:, -1:].tolist()
+        assert T.slice_(x, (..., slice(1, 3))).shape == (2, 3, 2)
+
 
 class TestBackward:
     def test_square_sum_gradient(self):
